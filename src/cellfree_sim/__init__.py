@@ -7,14 +7,11 @@ with perfectly tracked LoS phases.
 """
 
 from .beamforming import (
-    BeamformerSet,
     LsfdMoments,
     PiSet,
     Scheme,
     assemble_lmmse_lsfd,
     assemble_ltmmse,
-    estimate_lsfd_moments,
-    estimate_pi,
     lmmse_local_matrix,
     lsfd_weights,
     ltmmse_stage2,
@@ -34,9 +31,8 @@ from .estimation import (
     PilotEstimator,
     error_statistics_check,
     psi_matrix,
-    simulate_pilot_and_estimate,
 )
-from .evaluation import MonteCarloBudgets, SeReport, cd_se, evaluate_schemes, run_monte_carlo, uatf_se
+from .evaluation import MonteCarloBudgets, SeReport, cd_se, evaluate_schemes, uatf_se
 from .experiments import (
     ExperimentConfig,
     ResultRow,

@@ -30,27 +30,15 @@ from .estimation import EstimateSet, PilotEstimator
 from .rng import substream
 from .scenario import AreaConfig, ServicePlan
 
+# Draws per Monte Carlo chunk; chunk c always draws from substream(stream, c).
+CHUNK = 128
+MIN_STAT_DRAWS = 2
+
 
 class Scheme(str, Enum):
     MMSE = "MMSE"
     LMMSE_LSFD = "LMMSE_LSFD"
     LTMMSE = "LTMMSE"
-
-
-@dataclass(frozen=True)
-class BeamformerSet:
-    """Per-draw combining vectors for every UE, plus scheme metadata.
-
-    `vectors[r, l, :, k]` is the combiner block of AP l for UE k in draw r;
-    blocks outside the serving cluster are exactly zero.
-    """
-
-    scheme: Scheme
-    vectors: np.ndarray                    # (draws, L, N, K) complex
-    local_matrices: np.ndarray | None = None   # (draws, L, N, K), distributed schemes
-    lsfd_weights: np.ndarray | None = None     # (K, L) complex, zero off-cluster
-    stage2: np.ndarray | None = None           # (K, L, K) complex, zero off-cluster
-    regularized_ues: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -73,8 +61,12 @@ class LsfdMoments:
     sample_count: int
 
 
-def mmse_combiner(est: EstimateSet, plan: ServicePlan, sigma2: float) -> BeamformerSet:
-    """Centralized MMSE combiner, solved per UE on its serving cluster."""
+def mmse_combiner(est: EstimateSet, plan: ServicePlan, sigma2: float) -> np.ndarray:
+    """Centralized MMSE combiner, solved per UE on its serving cluster.
+
+    Like every combiner here it returns (draws, L, N, K) vectors whose blocks
+    outside each UE's serving cluster are exactly zero.
+    """
     R, L, N, K = est.estimates.shape
     sqrt_p = np.sqrt(plan.powers_w)
     vectors = np.zeros((R, L, N, K), dtype=complex)
@@ -88,7 +80,7 @@ def mmse_combiner(est: EstimateSet, plan: ServicePlan, sigma2: float) -> Beamfor
         solution = np.linalg.solve(system, rhs[..., None])[..., 0]
         # mixed basic/advanced indexing puts the cluster axis first
         vectors[:, cluster, :, k] = solution.reshape(R, M, N).transpose(1, 0, 2)
-    return BeamformerSet(scheme=Scheme.MMSE, vectors=vectors)
+    return vectors
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -118,31 +110,26 @@ def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan, sigma2: float) -> 
     return lmmse_local_matrix(est.estimates, est.z_matrices[None], plan.powers_w, sigma2)
 
 
-def estimate_lsfd_moments(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                          mc: int, stream, chunk: int = 128) -> LsfdMoments:
-    """Monte Carlo estimate of the LSFD moment set over `mc` draws."""
-    model = statistics_pass(stats, plan, cfg, mc, stream, need_pi=False, need_lsfd=True,
-                            chunk=chunk)
-    return model.lsfd
-
-
-def estimate_pi(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                mc: int, stream, chunk: int = 128) -> PiSet:
-    """Monte Carlo estimate of the cross-talk matrices over `mc` draws."""
-    model = statistics_pass(stats, plan, cfg, mc, stream, need_pi=True, need_lsfd=False,
-                            chunk=chunk)
-    return model.pi
-
-
 @dataclass(frozen=True)
 class StatisticalModel:
     pi: PiSet | None
     lsfd: LsfdMoments | None
 
 
+def estimated_draws(estimator: PilotEstimator, total: int, chunk: int, stream):
+    """Yield `(draws, estimates)` for `total` draws, `chunk` draws at a time.
+
+    Chunk c takes its channels and its pilot noise from `substream(stream, c)`,
+    so every draw depends only on its index, never on how work is scheduled.
+    """
+    for c, start in enumerate(range(0, total, chunk)):
+        gen = substream(stream, c)
+        draws = sample_channels(estimator.stats, gen, min(chunk, total - start))
+        yield draws, estimator.estimate(draws, gen)
+
+
 def statistics_pass(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                    mc: int, stream, need_pi: bool, need_lsfd: bool,
-                    chunk: int = 128, min_draws: int = 2) -> StatisticalModel:
+                    mc: int, stream, need_pi: bool, need_lsfd: bool) -> StatisticalModel:
     """Shared statistics sweep feeding both distributed schemes.
 
     One stream of channel draws is used for every AP and both accumulation
@@ -150,13 +137,12 @@ def statistics_pass(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     boundaries are fixed by draw index, so the result is independent of how
     chunks are scheduled.
     """
-    if mc < min_draws:
-        raise ConfigError(f"statistics budget must be at least {min_draws} draws")
+    if mc < MIN_STAT_DRAWS:
+        raise ConfigError(f"statistics budget must be at least {MIN_STAT_DRAWS} draws")
     K, L, N = stats.los_mean.shape
-    estimator = PilotEstimator(stats, plan, cfg)
     sqrt_p = np.sqrt(plan.powers_w)
     # keep per-chunk scratch below ~32M complex entries
-    chunk = max(1, min(chunk, int(3.2e7 / max(L * K * K, 1))))
+    chunk = max(1, min(CHUNK, int(3.2e7 / max(L * K * K, 1))))
 
     pi_sum = np.zeros((L, K, K), dtype=complex)
     pi_sumsq = np.zeros((L, K, K))
@@ -165,13 +151,8 @@ def statistics_pass(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     g_sum = [np.zeros((K, len(c), len(c)), dtype=complex) for c in clusters]
     s_sum = [np.zeros(len(c)) for c in clusters]
 
-    done = 0
-    c_idx = 0
-    while done < mc:
-        r = min(chunk, mc - done)
-        gen = substream(stream, c_idx)
-        draws = sample_channels(stats, gen, r)
-        est = estimator.estimate(draws, gen)
+    estimator = PilotEstimator(stats, plan, cfg)
+    for draws, est in estimated_draws(estimator, mc, chunk, stream):
         local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
 
         if need_pi:
@@ -188,8 +169,6 @@ def statistics_pass(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
                 f_sum[k] += gains[:, :, k].sum(axis=0)
                 g_sum[k] += np.einsum("rmi,rsi->ims", gains, gains.conj())
                 s_sum[k] += (np.abs(v_k) ** 2).sum(axis=(0, 2))
-        done += r
-        c_idx += 1
 
     pi = None
     if need_pi:
@@ -234,16 +213,14 @@ def lsfd_weights(moments: LsfdMoments, powers: np.ndarray, sigma2: float
     return weights, tuple(flagged)
 
 
-def assemble_lmmse_lsfd(local: np.ndarray, weights: list[np.ndarray], plan: ServicePlan,
-                        regularized: tuple[int, ...] = ()) -> BeamformerSet:
+def assemble_lmmse_lsfd(local: np.ndarray, weights: list[np.ndarray],
+                        plan: ServicePlan) -> np.ndarray:
     """Combine local matrices with LSFD weights into full combining vectors."""
     R, L, N, K = local.shape
     weight_full = np.zeros((K, L), dtype=complex)
     for k, cluster in enumerate(plan.cluster_of_ue):
         weight_full[k, cluster] = weights[k]
-    vectors = local * weight_full.T[None, :, None, :]
-    return BeamformerSet(scheme=Scheme.LMMSE_LSFD, vectors=vectors, local_matrices=local,
-                         lsfd_weights=weight_full, regularized_ues=regularized)
+    return local * weight_full.T[None, :, None, :]
 
 
 def ltmmse_stage2(pi: PiSet, cluster: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
@@ -271,16 +248,13 @@ def ltmmse_stage2(pi: PiSet, cluster: np.ndarray, k: int) -> tuple[np.ndarray, b
     return solution.reshape(M, K), fallback
 
 
-def assemble_ltmmse(local: np.ndarray, stage2_full: np.ndarray, plan: ServicePlan,
-                    regularized: tuple[int, ...] = ()) -> BeamformerSet:
+def assemble_ltmmse(local: np.ndarray, stage2_full: np.ndarray, plan: ServicePlan) -> np.ndarray:
     """Apply the statistical second stage to per-draw local matrices.
 
     `stage2_full` is (K, L, K) with zero rows for non-serving APs, so the
     produced vectors keep their support on the serving cluster.
     """
-    vectors = np.einsum("rlnj,klj->rlnk", local, stage2_full)
-    return BeamformerSet(scheme=Scheme.LTMMSE, vectors=vectors, local_matrices=local,
-                         stage2=stage2_full, regularized_ues=regularized)
+    return np.einsum("rlnj,klj->rlnk", local, stage2_full)
 
 
 def stage2_all(pi: PiSet, plan: ServicePlan) -> tuple[np.ndarray, tuple[int, ...]]:

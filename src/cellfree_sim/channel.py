@@ -37,14 +37,6 @@ class ChannelStats:
     cov_factor: np.ndarray  # (K, L, N, N) factor F with F F^H = nlos_cov
 
     @property
-    def n_ues(self) -> int:
-        return self.los_mean.shape[0]
-
-    @property
-    def n_aps(self) -> int:
-        return self.los_mean.shape[1]
-
-    @property
     def n_antennas(self) -> int:
         return self.los_mean.shape[2]
 

@@ -22,11 +22,9 @@ from .scenario import AreaConfig, ServicePlan
 
 @dataclass(frozen=True)
 class EstimateSet:
-    """MMSE channel estimates and their statistics for a batch of draws."""
+    """MMSE channel estimates for a batch of draws."""
 
     estimates: np.ndarray   # (draws, L, N, K) complex
-    err_cov: np.ndarray     # (K, L, N, N) error covariance per pair
-    psi: np.ndarray         # (pilot_count, L, N, N) pilot-innovation covariances
     z_matrices: np.ndarray  # (L, N, N) power-weighted error covariance sums
 
     @property
@@ -110,57 +108,7 @@ class PilotEstimator:
         per_ue = innovation[:, self.plan.pilot_of_ue]     # (R, K, L, N)
         update = np.einsum("klnm,rklm->rlnk", self.gain, per_ue)
         estimates = self._phased_mean[None] + update
-        return EstimateSet(
-            estimates=estimates,
-            err_cov=self.err_cov,
-            psi=self.psi,
-            z_matrices=self.z_matrices,
-        )
-
-
-def simulate_pilot_and_estimate(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                                draw: ChannelDraw, rng: np.random.Generator) -> EstimateSet:
-    """One-shot pilot simulation + estimation (builds the estimator inline)."""
-    return PilotEstimator(stats, plan, cfg).estimate(draw, rng)
-
-
-def sample_estimates_direct(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                            rng: np.random.Generator, n_draws: int
-                            ) -> tuple[ChannelDraw, EstimateSet]:
-    """Draw (channel, estimate) pairs from their joint distribution directly.
-
-    Distribution-equivalent shortcut: the estimate is Gaussian around the
-    phased LoS mean with covariance R - C, and the error is independent with
-    covariance C. Valid per pair, but it does not reproduce the cross-UE
-    estimate correlation of copilot UEs; use the pilot path whenever copilot
-    sets are not singletons.
-    """
-    est = PilotEstimator(stats, plan, cfg)
-    K, L, N = stats.los_mean.shape
-    from .channel import _psd_factor  # local import: reuse of the PSD factoring helper
-
-    est_factor = np.zeros((K, L, N, N), dtype=complex)
-    err_factor = np.zeros((K, L, N, N), dtype=complex)
-    for k in range(K):
-        for l in range(L):
-            _, est_factor[k, l] = _psd_factor(stats.nlos_cov[k, l] - est.err_cov[k, l])
-            _, err_factor[k, l] = _psd_factor(np.ascontiguousarray(est.err_cov[k, l]))
-
-    def draw_part(factors):
-        z = rng.standard_normal((n_draws, K, L, N)) + 1j * rng.standard_normal((n_draws, K, L, N))
-        z *= np.sqrt(0.5)
-        part = np.einsum("klnm,rklm->rkln", factors, z)
-        return part.transpose(0, 2, 3, 1)
-
-    phased = est._phased_mean[None]
-    estimates = phased + draw_part(est_factor)
-    errors = draw_part(err_factor)
-    channels = estimates + errors
-    return (
-        ChannelDraw(true_channels=np.ascontiguousarray(channels)),
-        EstimateSet(estimates=np.ascontiguousarray(estimates), err_cov=est.err_cov,
-                    psi=est.psi, z_matrices=est.z_matrices),
-    )
+        return EstimateSet(estimates=estimates, z_matrices=self.z_matrices)
 
 
 @dataclass(frozen=True)

@@ -22,34 +22,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import (
+    CHUNK,
     Scheme,
     assemble_lmmse_lsfd,
     assemble_ltmmse,
+    estimated_draws,
     lmmse_local_matrices,
     lsfd_weights,
     mmse_combiner,
     stage2_all,
     statistics_pass,
 )
-from .channel import ChannelStats, sample_channels
+from .channel import ChannelStats, sample_channels  # noqa: F401  (perfbench/tracing.py wraps it)
 from .errors import ConfigError
 from .estimation import PilotEstimator
-from .rng import ROLE_EVALUATION, ROLE_STATISTICS, subsequence, substream
+from .rng import ROLE_EVALUATION, ROLE_STATISTICS, subsequence
 from .scenario import AreaConfig, ServicePlan
+
+# Batch-means batches behind every confidence interval.
+N_BATCHES = 10
 
 
 @dataclass(frozen=True)
 class MonteCarloBudgets:
     stat_draws: int = 500
     eval_draws: int = 500
-    chunk: int = 128
-    batches: int = 10
 
     def validate(self) -> None:
         if self.stat_draws < 2 or self.eval_draws < 2:
             raise ConfigError("draw budgets must be at least 2")
-        if self.chunk < 1 or self.batches < 2:
-            raise ConfigError("chunk must be >= 1 and batches >= 2")
 
 
 @dataclass(frozen=True)
@@ -75,38 +76,6 @@ class SeReport:
     stat_draw_count: int
     clamped_ues: tuple[int, ...] = ()
     regularized_ues: tuple[int, ...] = ()
-
-    @property
-    def uatf_se(self) -> np.ndarray:
-        return self.uatf.se
-
-    @property
-    def cd_se(self) -> np.ndarray:
-        return self.cd.se
-
-    @property
-    def min_uatf_se(self) -> float:
-        return float(self.uatf.se.min())
-
-    @property
-    def sum_uatf_se(self) -> float:
-        return float(self.uatf.se.sum())
-
-    @property
-    def sorted_uatf_se(self) -> np.ndarray:
-        return np.sort(self.uatf.se)
-
-    @property
-    def min_cd_se(self) -> float:
-        return float(self.cd.se.min())
-
-    @property
-    def sum_cd_se(self) -> float:
-        return float(self.cd.se.sum())
-
-    @property
-    def sorted_cd_se(self) -> np.ndarray:
-        return np.sort(self.cd.se)
 
 
 def _batch_index(n_draws: int, n_batches: int) -> np.ndarray:
@@ -135,7 +104,7 @@ def _uatf_from_moments(mean_gain, mean_abs2, mean_vnorm2, powers, sigma2, prelog
 
 
 def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: float,
-            prelog: float, n_batches: int = 10) -> tuple[BoundEstimate, dict]:
+            prelog: float) -> tuple[BoundEstimate, dict]:
     """UatF bound from per-draw combined TRUE channel gains.
 
     `gains[r, k, i]` is the combined channel of UE i through UE k's combiner,
@@ -146,7 +115,7 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
     R, K, _ = gains.shape
     if R < 2:
         raise ConfigError("UatF evaluation needs at least 2 draws")
-    n_batches = min(n_batches, R)
+    n_batches = min(N_BATCHES, R)
     own = gains[:, np.arange(K), np.arange(K)]
 
     se_full, parts, clamped = _uatf_from_moments(
@@ -172,8 +141,7 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
 
 
 def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
-          powers: np.ndarray, sigma2: float, prelog: float,
-          n_batches: int = 10) -> BoundEstimate:
+          powers: np.ndarray, sigma2: float, prelog: float) -> BoundEstimate:
     """Coherent-decoding bound from per-draw ESTIMATED channel gains.
 
     `est_gains[r, k, i]` is the combined estimated channel, `err_quad[r, k]`
@@ -181,7 +149,7 @@ def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
     per-draw log terms are averaged; expectations stay inside the log.
     """
     R, K, _ = est_gains.shape
-    n_batches = min(n_batches, R)
+    n_batches = min(N_BATCHES, R)
     own = np.abs(est_gains[:, np.arange(K), np.arange(K)]) ** 2
     total = (np.abs(est_gains) ** 2) @ powers
     denom = np.maximum(total - powers * own, 0.0) + err_quad + sigma2 * vnorm2
@@ -223,7 +191,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     if need_local:
         model = statistics_pass(
             stats, plan, cfg, budgets.stat_draws, subsequence(stream, ROLE_STATISTICS),
-            need_pi=need_pi, need_lsfd=need_lsfd, chunk=budgets.chunk,
+            need_pi=need_pi, need_lsfd=need_lsfd,
         )
         stat_used = budgets.stat_draws
         if need_lsfd:
@@ -234,37 +202,28 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
             regularized[Scheme.LTMMSE] = flagged
 
     estimator = PilotEstimator(stats, plan, cfg)
-    eval_seq = subsequence(stream, ROLE_EVALUATION)
     gains = {s: [] for s in schemes}
     est_gains = {s: [] for s in schemes}
     quads = {s: [] for s in schemes}
     vnorms = {s: [] for s in schemes}
 
-    done = 0
-    c_idx = 0
-    while done < budgets.eval_draws:
-        r = min(budgets.chunk, budgets.eval_draws - done)
-        gen = substream(eval_seq, c_idx)
-        draws = sample_channels(stats, gen, r)
-        est = estimator.estimate(draws, gen)
+    eval_seq = subsequence(stream, ROLE_EVALUATION)
+    for draws, est in estimated_draws(estimator, budgets.eval_draws, CHUNK, eval_seq):
         local = lmmse_local_matrices(est, plan, sigma2) if need_local else None
 
         for scheme in schemes:
             if scheme is Scheme.MMSE:
-                bf = mmse_combiner(est, plan, sigma2)
+                v = mmse_combiner(est, plan, sigma2)
             elif scheme is Scheme.LMMSE_LSFD:
-                bf = assemble_lmmse_lsfd(local, weights, plan)
+                v = assemble_lmmse_lsfd(local, weights, plan)
             else:
-                bf = assemble_ltmmse(local, stage2_full, plan)
-            v = bf.vectors
+                v = assemble_ltmmse(local, stage2_full, plan)
             gains[scheme].append(np.einsum("rlnk,rlni->rki", v.conj(), draws.true_channels))
             est_gains[scheme].append(np.einsum("rlnk,rlni->rki", v.conj(), est.estimates))
             quads[scheme].append(
                 np.einsum("rlnk,lnm,rlmk->rk", v.conj(), est.z_matrices, v).real
             )
             vnorms[scheme].append(np.sum(np.abs(v) ** 2, axis=(1, 2)))
-        done += r
-        c_idx += 1
 
     reports = {}
     for scheme in schemes:
@@ -272,8 +231,8 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
         gh = np.concatenate(est_gains[scheme])
         quad = np.concatenate(quads[scheme])
         vnorm2 = np.concatenate(vnorms[scheme])
-        uatf, extras = uatf_se(g, vnorm2, plan.powers_w, sigma2, prelog, budgets.batches)
-        cd = cd_se(gh, quad, vnorm2, plan.powers_w, sigma2, prelog, budgets.batches)
+        uatf, extras = uatf_se(g, vnorm2, plan.powers_w, sigma2, prelog)
+        cd = cd_se(gh, quad, vnorm2, plan.powers_w, sigma2, prelog)
         reports[scheme] = SeReport(
             scheme=scheme,
             uatf=uatf,
@@ -288,8 +247,3 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
         )
     return reports
 
-
-def run_monte_carlo(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                    scheme, budgets: MonteCarloBudgets, stream) -> SeReport:
-    """Evaluate a single scheme; see `evaluate_schemes` for the contract."""
-    return evaluate_schemes(stats, plan, cfg, [scheme], budgets, stream)[Scheme(scheme)]

@@ -18,6 +18,8 @@ import dataclasses
 import datetime
 import json
 import logging
+import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,11 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .beamforming import Scheme
-from .channel import build_channel_stats, pair_geometry, stats_from_geometry
+from .channel import build_channel_stats  # noqa: F401  (perfbench/tracing.py wraps it)
+from .channel import pair_geometry, stats_from_geometry
 from .errors import ConfigError
 from .evaluation import MonteCarloBudgets, SeReport, evaluate_schemes
 from .rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
 from .scenario import AreaConfig, apply_power_control, assign_pilots_and_clusters, deploy
+from .scenario import is_integer, is_number, rician_factor
 
 log = logging.getLogger(__name__)
 
@@ -167,24 +171,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     schemes_raw = raw.get("schemes", [s.value for s in Scheme])
     schemes: tuple[Scheme, ...] = ()
     try:
+        if not isinstance(schemes_raw, list):
+            raise ValueError
         schemes = tuple(Scheme(s) for s in schemes_raw)
         if not schemes:
             problems.append("schemes must not be empty")
     except ValueError:
-        problems.append(f"schemes must be a subset of {[s.value for s in Scheme]}")
+        problems.append(f"schemes must be a list drawn from {[s.value for s in Scheme]}")
 
     pc_exponent = raw.get("pc_exponent", -1.0)
-    if not isinstance(pc_exponent, (int, float)) or isinstance(pc_exponent, bool):
-        problems.append("pc_exponent must be a number")
+    if not (is_number(pc_exponent) and math.isfinite(pc_exponent)):
+        problems.append("pc_exponent must be a finite number")
     elif pc_exponent not in (-1, 0):
         log.warning("pc_exponent %s is outside the studied set {-1, 0}; proceeding", pc_exponent)
 
-    kappa_grid = tuple(raw.get("kappa_grid", DEFAULT_KAPPA_GRID))
-    if experiment == "kappa_sweep":
-        if len(kappa_grid) == 0:
-            problems.append("kappa_grid must not be empty for kappa_sweep")
-        elif any((not isinstance(x, (int, float))) or x < 0 for x in kappa_grid):
-            problems.append("kappa_grid values must be numbers >= 0")
+    kappa_grid = raw.get("kappa_grid", DEFAULT_KAPPA_GRID)
+    if not isinstance(kappa_grid, (list, tuple)) or not all(
+            is_number(x) and x >= 0 for x in kappa_grid):
+        problems.append("kappa_grid must be a list of numbers >= 0")
+    elif experiment == "kappa_sweep" and not kappa_grid:
+        problems.append("kappa_grid must not be empty for kappa_sweep")
 
     d_grid_raw = raw.get("d_grid")
     d_grid: tuple[tuple[float, float], ...] = ()
@@ -199,8 +205,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                     raise KeyError(f"unknown d_grid keys: {sorted(unknown_item)}")
                 d = float(item["d_m"])
                 p = float(item.get("p_max_w", d * _P_MAX_PER_METER))
-                if d <= 0 or p <= 0:
-                    raise ValueError("d_m and p_max_w must be positive")
+                if not (0.0 < d < math.inf and 0.0 < p < math.inf):
+                    raise ValueError("d_m and p_max_w must be positive and finite")
                 items.append((d, p))
             d_grid = tuple(items)
         except (KeyError, TypeError, ValueError) as exc:
@@ -208,21 +214,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if experiment == "density_sweep" and not d_grid:
         problems.append("d_grid must not be empty for density_sweep")
 
-    def plain_int(value):
-        return isinstance(value, int) and not isinstance(value, bool)
-
     setups = raw.get("setups", 10)
-    if not plain_int(setups) or setups < 1:
+    if not is_integer(setups) or setups < 1:
         problems.append("setups must be an integer >= 1")
     stat_budget = raw.get("stat_budget", 300)
     eval_budget = raw.get("eval_budget", 300)
     for name, value in (("stat_budget", stat_budget), ("eval_budget", eval_budget)):
-        if not plain_int(value) or value < 2:
+        if not is_integer(value) or value < 2:
             problems.append(f"{name} must be an integer >= 2")
     seed = raw.get("seed", DEFAULT_SEED)
-    if not plain_int(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         problems.append("seed must be a nonnegative integer")
-    out_dir = Path(raw.get("out_dir", "."))
+    out_dir = raw.get("out_dir", ".")
+    if not isinstance(out_dir, (str, os.PathLike)):
+        problems.append("out_dir must be a path string")
 
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
@@ -231,47 +236,41 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         area=area,
         schemes=schemes,
         pc_exponent=float(pc_exponent),
-        kappa_grid=kappa_grid,
+        kappa_grid=tuple(kappa_grid),
         d_grid=d_grid,
         setups=setups,
         stat_budget=stat_budget,
         eval_budget=eval_budget,
         seed=seed,
-        out_dir=out_dir,
+        out_dir=Path(out_dir),
     )
 
 
 def _setup_reports(cfg: ExperimentConfig, area: AreaConfig, setup: int,
-                   kappa_override: float | None) -> dict[Scheme, SeReport]:
-    """Deploy, plan and evaluate one setup. Streams depend only on
-    (seed, setup, role), so any scheduling order gives identical results."""
+                   kappas=(None,)) -> list[dict[Scheme, SeReport]]:
+    """Deploy, plan and evaluate one setup at each Rician factor in `kappas`.
+
+    `None` means the distance law. The deployment, plan, LoS phases and the
+    (kappa-independent) scattering geometry are built once and shared by
+    every kappa. Streams depend only on (seed, setup, role), so any
+    scheduling order gives identical results.
+    """
     base = subsequence(cfg.seed, setup)
     dep = deploy(area, substream(base, ROLE_DEPLOY))
     plan = assign_pilots_and_clusters(dep, area)
     plan = apply_power_control(plan, dep, cfg.pc_exponent, area.p_max_w)
-    stats = build_channel_stats(
-        dep, area, substream(base, ROLE_PHASES), kappa_override=kappa_override
-    )
-    return evaluate_schemes(stats, plan, area, cfg.schemes, cfg.budgets(), base)
-
-
-def _setup_reports_kappa_grid(cfg: ExperimentConfig, setup: int
-                              ) -> list[dict[Scheme, SeReport]]:
-    """Evaluate all kappa grid points of one setup, reusing the deployment,
-    the LoS phases and the (kappa-independent) scattering geometry."""
-    base = subsequence(cfg.seed, setup)
-    dep = deploy(cfg.area, substream(base, ROLE_DEPLOY))
-    plan = assign_pilots_and_clusters(dep, cfg.area)
-    plan = apply_power_control(plan, dep, cfg.pc_exponent, cfg.area.p_max_w)
-    geom = pair_geometry(dep, cfg.area)
+    geom = pair_geometry(dep, area)
     beta_lin = 10.0 ** (dep.gains_db / 10.0)
     phases = substream(base, ROLE_PHASES).uniform(0.0, 2.0 * np.pi, size=dep.gains_db.shape)
 
     out = []
-    for kappa in cfg.kappa_grid:
-        kappa_mat = np.full(dep.gains_db.shape, float(kappa))
+    for kappa in kappas:
+        if kappa is None:
+            kappa_mat = rician_factor(dep.distances_3d)
+        else:
+            kappa_mat = np.full(dep.gains_db.shape, float(kappa))
         stats = stats_from_geometry(geom, beta_lin, kappa_mat, phases)
-        out.append(evaluate_schemes(stats, plan, cfg.area, cfg.schemes, cfg.budgets(), base))
+        out.append(evaluate_schemes(stats, plan, area, cfg.schemes, cfg.budgets(), base))
     return out
 
 
@@ -312,7 +311,8 @@ def run_kappa_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Resul
     and grid-point comparisons are paired.
     """
     per_setup = _run_setups(
-        [lambda s=s: _setup_reports_kappa_grid(cfg, s) for s in range(cfg.setups)], threads
+        [lambda s=s: _setup_reports(cfg, cfg.area, s, cfg.kappa_grid) for s in range(cfg.setups)],
+        threads,
     )
     rows = []
     for g, kappa in enumerate(cfg.kappa_grid):
@@ -333,7 +333,7 @@ def run_density_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Res
     def one(setup: int, d: float, p_max: float):
         area = dataclasses.replace(cfg.area, side_length_m=d, p_max_w=p_max,
                                    pilot_power_w=pilot_ratio * p_max)
-        return _setup_reports(cfg, area, setup, kappa_override=None)
+        return _setup_reports(cfg, area, setup)[0]
 
     tasks = [lambda s=s, d=d, p=p: one(s, d, p) for (d, p) in grid for s in range(cfg.setups)]
     results = _run_setups(tasks, threads)
@@ -350,7 +350,7 @@ def run_cdf(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[ResultRow], P
     """Pool per-UE SEs across setups and emit them sorted with empirical CDF
     coordinates in the sweep column."""
     per_setup = _run_setups(
-        [lambda s=s: _setup_reports(cfg, cfg.area, s, None) for s in range(cfg.setups)], threads
+        [lambda s=s: _setup_reports(cfg, cfg.area, s)[0] for s in range(cfg.setups)], threads
     )
     rows = []
     for scheme in cfg.schemes:

@@ -23,11 +23,7 @@ def substream(base: np.random.SeedSequence | int, *key: int) -> np.random.Genera
     The same (base, key) always yields the same stream, independent of any
     other substream that was created before or after it.
     """
-    seq = as_seed_sequence(base)
-    child = np.random.SeedSequence(
-        entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + tuple(int(k) for k in key)
-    )
-    return np.random.default_rng(child)
+    return np.random.default_rng(subsequence(base, *key))
 
 
 def as_seed_sequence(base: np.random.SeedSequence | int) -> np.random.SeedSequence:

@@ -12,7 +12,9 @@ happen at the point of use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -20,6 +22,17 @@ from .errors import ConfigError
 
 # Offsets of the 9 mirror copies used to emulate an infinite service area.
 _WRAP_SHIFTS = np.array([(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
+_COUNT_FIELDS = ("ap_count", "ue_count", "antennas_per_ap", "pilot_count", "coherence_symbols")
+
+
+def is_integer(value) -> bool:
+    """True for integers, including numpy integers; False for bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """True for real numbers other than NaN (infinities pass); False for bools."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
 
 
 @dataclass(frozen=True)
@@ -42,11 +55,17 @@ class AreaConfig:
 
     def validate(self) -> None:
         problems = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _COUNT_FIELDS:
+                if not is_integer(value) or value < 1:
+                    problems.append(f"{f.name} must be an integer >= 1")
+            elif not (is_number(value) and math.isfinite(value)):
+                problems.append(f"{f.name} must be a finite number")
+        if problems:  # the checks below compare values, so they need numbers
+            raise ConfigError("; ".join(problems))
         if self.side_length_m <= 0:
             problems.append("side_length_m must be > 0")
-        for name in ("ap_count", "ue_count", "antennas_per_ap", "pilot_count", "coherence_symbols"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1")
         if self.pilot_count > self.coherence_symbols:
             problems.append("pilot_count must not exceed coherence_symbols")
         for name in ("p_max_w", "pilot_power_w", "noise_power_w"):
@@ -228,12 +247,4 @@ def power_control(gains_db: np.ndarray, clusters, v: float, p_max: float) -> np.
 
 def apply_power_control(plan: ServicePlan, dep: Deployment, v: float, p_max: float) -> ServicePlan:
     """Return a copy of `plan` with powers set by fractional power control."""
-    powers = power_control(dep.gains_db, plan.cluster_of_ue, v, p_max)
-    return ServicePlan(
-        pilot_of_ue=plan.pilot_of_ue,
-        copilot_sets=plan.copilot_sets,
-        cluster_of_ue=plan.cluster_of_ue,
-        powers_w=powers,
-        pilot_powers_w=plan.pilot_powers_w,
-        pilot_count=plan.pilot_count,
-    )
+    return replace(plan, powers_w=power_control(dep.gains_db, plan.cluster_of_ue, v, p_max))

@@ -77,13 +77,13 @@ def test_criterion_1_pure_los_team_equals_centralized():
     gen = np.random.default_rng(1)
     draws = sample_channels(stats, gen, 1)
     est = PilotEstimator(stats, plan, cfg).estimate(draws, gen)
-    centralized = mmse_combiner(est, plan, cfg.noise_power_w).vectors
+    centralized = mmse_combiner(est, plan, cfg.noise_power_w)
 
     model = statistics_pass(stats, plan, cfg, 2, np.random.SeedSequence(2),
                             need_pi=True, need_lsfd=False)
     stage2, _ = stage2_all(model.pi, plan)
     team = assemble_ltmmse(lmmse_local_matrices(est, plan, cfg.noise_power_w),
-                           stage2, plan).vectors
+                           stage2, plan)
 
     worst = 0.0
     for k in range(cfg.ue_count):
@@ -103,11 +103,12 @@ def test_criterion_2_nlos_team_matches_lsfd_within_ci():
     budgets = MonteCarloBudgets(stat_draws=2000, eval_draws=2000)
     reps = evaluate_schemes(stats, plan, cfg, [Scheme.LTMMSE, Scheme.LMMSE_LSFD], budgets, 22)
     lt, lm = reps[Scheme.LTMMSE], reps[Scheme.LMMSE_LSFD]
-    diff = np.abs(lt.uatf_se - lm.uatf_se)
+    diff = np.abs(lt.uatf.se - lm.uatf.se)
     tol = np.sqrt(lt.uatf.ci**2 + lm.uatf.ci**2)  # 95% halfwidth of the difference
     assert np.all(diff <= tol), (diff, tol)
 
-    pi = cf.estimate_pi(stats, plan, cfg, 2000, np.random.SeedSequence(23))
+    pi = statistics_pass(stats, plan, cfg, 2000, np.random.SeedSequence(23),
+                         need_pi=True, need_lsfd=False).pi
     off = ~np.eye(cfg.ue_count, dtype=bool)
     se_ratio = np.abs(pi.pi[:, off]) / np.maximum(pi.se[:, off], 1e-300)
     assert se_ratio.max() < 5.0
@@ -259,7 +260,7 @@ def test_criterion_8_team_fixed_point():
     model = statistics_pass(stats, plan, cfg, 2, np.random.SeedSequence(81),
                             need_pi=True, need_lsfd=False)
     stage2, _ = stage2_all(model.pi, plan)
-    team = assemble_ltmmse(local, stage2, plan).vectors[0]     # (L, N, K)
+    team = assemble_ltmmse(local, stage2, plan)[0]             # (L, N, K)
 
     H = draws.true_channels[0]                                 # (L, N, K), deterministic
     worst = 0.0

@@ -8,7 +8,6 @@ from cellfree_sim.beamforming import (
     PiSet,
     assemble_lmmse_lsfd,
     assemble_ltmmse,
-    estimate_pi,
     lmmse_local_matrices,
     lmmse_local_matrix,
     lsfd_weights,
@@ -29,8 +28,7 @@ def synthetic_estimates(rng, R, L, N, K, err_scale=0.0):
     err_cov = np.zeros((K, L, N, N), dtype=complex)
     err_cov[..., np.arange(N), np.arange(N)] = err_scale
     z = np.einsum("k,klnm->lnm", np.ones(K), err_cov)
-    psi = np.tile(np.eye(N, dtype=complex), (1, L, 1, 1))
-    return EstimateSet(estimates=est, err_cov=err_cov, psi=psi, z_matrices=z)
+    return EstimateSet(estimates=est, z_matrices=z)
 
 
 def combined_gains(vectors, channels):
@@ -80,22 +78,22 @@ class TestMmseCombiner:
         # the conjugation happens at application time
         est = synthetic_estimates(rng, R=16, L=1, N=1, K=1)
         plan = make_plan([0], [[0]], powers=[1.0])
-        bf = mmse_combiner(est, plan, sigma2=0.3)
+        v = mmse_combiner(est, plan, sigma2=0.3)
         h = est.estimates[:, 0, 0, 0]
         expected = h / (np.abs(h) ** 2 + 0.3)
-        np.testing.assert_allclose(bf.vectors[:, 0, 0, 0], expected, rtol=1e-12)
-        detected_weight = bf.vectors[:, 0, 0, 0].conj()
+        np.testing.assert_allclose(v[:, 0, 0, 0], expected, rtol=1e-12)
+        detected_weight = v[:, 0, 0, 0].conj()
         np.testing.assert_allclose(detected_weight, h.conj() / (np.abs(h) ** 2 + 0.3),
                                    rtol=1e-12)
 
     def test_support_confined_to_cluster(self, rng):
         est = synthetic_estimates(rng, R=4, L=4, N=2, K=3, err_scale=0.1)
         plan = make_plan([0, 0, 0], [[0, 2], [1], [2, 3]])
-        bf = mmse_combiner(est, plan, sigma2=0.2)
-        assert np.all(bf.vectors[:, [1, 3], :, 0] == 0)
-        assert np.all(bf.vectors[:, [0, 2, 3], :, 1] == 0)
-        assert np.all(bf.vectors[:, [0, 1], :, 2] == 0)
-        assert np.any(bf.vectors[:, [0, 2], :, 0] != 0)
+        v = mmse_combiner(est, plan, sigma2=0.2)
+        assert np.all(v[:, [1, 3], :, 0] == 0)
+        assert np.all(v[:, [0, 2, 3], :, 1] == 0)
+        assert np.all(v[:, [0, 1], :, 2] == 0)
+        assert np.any(v[:, [0, 2], :, 0] != 0)
 
     def test_first_order_optimality(self, rng):
         # random perturbations around the solution never reduce the
@@ -106,11 +104,11 @@ class TestMmseCombiner:
         plan = make_plan([0, 0, 1, 1], [[0, 1], [1, 2], [0, 1, 2], [2]], powers=powers,
                          pilot_count=2)
         sigma2 = 0.4
-        bf = mmse_combiner(est, plan, sigma2)
-        base = detection_mse(bf.vectors, est, powers, sigma2)
+        v = mmse_combiner(est, plan, sigma2)
+        base = detection_mse(v, est, powers, sigma2)
         for trial in range(100):
-            noise = np.random.default_rng(trial).standard_normal(bf.vectors.shape) * 1e-3
-            perturbed = bf.vectors + noise * (np.abs(bf.vectors) > 0)
+            noise = np.random.default_rng(trial).standard_normal(v.shape) * 1e-3
+            perturbed = v + noise * (np.abs(v) > 0)
             worse = detection_mse(perturbed, est, powers, sigma2)
             assert np.all(base <= worse + 1e-12)
 
@@ -128,8 +126,6 @@ class TestLocalMatrix:
     def test_zero_estimates_give_zero_matrix(self):
         est = EstimateSet(
             estimates=np.zeros((3, 2, 2, 2), dtype=complex),
-            err_cov=np.zeros((2, 2, 2, 2), dtype=complex),
-            psi=np.tile(np.eye(2, dtype=complex), (1, 2, 1, 1)),
             z_matrices=np.zeros((2, 2, 2), dtype=complex),
         )
         plan = make_plan([0, 0], [[0], [1]])
@@ -140,8 +136,8 @@ class TestLocalMatrix:
         est = synthetic_estimates(rng, R=5, L=1, N=2, K=3, err_scale=0.3)
         plan = make_plan([0, 0, 0], [[0], [0], [0]])
         V = lmmse_local_matrices(est, plan, sigma2=0.25)
-        bf = mmse_combiner(est, plan, sigma2=0.25)
-        np.testing.assert_allclose(bf.vectors[:, 0], V[:, 0], rtol=1e-10)
+        v = mmse_combiner(est, plan, sigma2=0.25)
+        np.testing.assert_allclose(v[:, 0], V[:, 0], rtol=1e-10)
 
 
 class TestLsfdWeights:
@@ -210,7 +206,7 @@ class TestPiEstimation:
         stats = make_stats(los, np.zeros((2, 1, 2, 2)), phases=[[0.4], [2.0]])
         plan = make_plan([0, 1], [[0], [0]], pilot_count=2)
         cfg = make_cfg(L=1, K=2, N=2, tau_p=2, sigma2=0.2)
-        pi = estimate_pi(stats, plan, cfg, mc=2, stream=3)
+        pi = statistics_pass(stats, plan, cfg, 2, 3, need_pi=True, need_lsfd=False).pi
 
         est = PilotEstimator(stats, plan, cfg)
         draws = sample_channels(stats, np.random.default_rng(0), 1)
@@ -224,7 +220,7 @@ class TestPiEstimation:
         stats = make_stats(np.zeros((1, 1, 1)), 0.9 * np.ones((1, 1, 1, 1)))
         plan = make_plan([0], [[0]], powers=[0.8])
         cfg = make_cfg(L=1, K=1, N=1, tau_p=1, sigma2=0.1)
-        pi = estimate_pi(stats, plan, cfg, mc=400, stream=5)
+        pi = statistics_pass(stats, plan, cfg, 400, 5, need_pi=True, need_lsfd=False).pi
         value = pi.pi[0, 0, 0]
         assert abs(value.imag) < 1e-3
         assert 0.0 < value.real < 1.0
@@ -233,8 +229,8 @@ class TestPiEstimation:
         stats = make_stats(np.zeros((2, 1, 2)), np.tile(np.eye(2), (2, 1, 1, 1)))
         plan = make_plan([0, 0], [[0], [0]])
         cfg = make_cfg(L=1, K=2, N=2, tau_p=1, sigma2=0.3)
-        small = estimate_pi(stats, plan, cfg, mc=1000, stream=5)
-        large = estimate_pi(stats, plan, cfg, mc=4000, stream=6)
+        small = statistics_pass(stats, plan, cfg, 1000, 5, need_pi=True, need_lsfd=False).pi
+        large = statistics_pass(stats, plan, cfg, 4000, 6, need_pi=True, need_lsfd=False).pi
         ratio = small.se.mean() / large.se.mean()
         assert 1.6 < ratio < 2.6  # budget x4 should halve the standard error
 
@@ -302,7 +298,7 @@ class TestStageTwo:
             stage2[k, cluster, :] = np.eye(3)[k]
         team = assemble_ltmmse(local, stage2, plan)
         unit = assemble_lmmse_lsfd(local, [np.ones(len(c)) for c in plan.cluster_of_ue], plan)
-        np.testing.assert_allclose(team.vectors, unit.vectors, atol=1e-14)
+        np.testing.assert_allclose(team, unit, atol=1e-14)
 
 
 class TestSchemeEquivalences:
@@ -310,14 +306,14 @@ class TestSchemeEquivalences:
         cfg, plan, stats = build_instance(3, kappa_override=np.inf)
         draws = sample_channels(stats, np.random.default_rng(1), 1)
         est = PilotEstimator(stats, plan, cfg).estimate(draws, np.random.default_rng(2))
-        centralized = mmse_combiner(est, plan, cfg.noise_power_w).vectors
+        centralized = mmse_combiner(est, plan, cfg.noise_power_w)
 
         model = statistics_pass(stats, plan, cfg, 2, np.random.SeedSequence(4),
                                 need_pi=True, need_lsfd=False)
         stage2, flagged = stage2_all(model.pi, plan)
         assert flagged == ()
         local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
-        team = assemble_ltmmse(local, stage2, plan).vectors
+        team = assemble_ltmmse(local, stage2, plan)
         scale = np.abs(centralized).max()
         assert np.abs(team - centralized).max() < 1e-8 * scale
 
@@ -334,14 +330,14 @@ class TestSchemeEquivalences:
         powers = plan.powers_w
         local = lmmse_local_matrices(est, plan, sigma2)
 
-        centralized = mmse_combiner(est, plan, sigma2).vectors
+        centralized = mmse_combiner(est, plan, sigma2)
         stage2, _ = stage2_all(empirical_pi(est, local, powers), plan)
-        team = assemble_ltmmse(local, stage2, plan).vectors
+        team = assemble_ltmmse(local, stage2, plan)
         moments = empirical_lsfd_moments(est, local, draws.true_channels, plan)
         weights, _ = lsfd_weights(moments, powers, sigma2)
-        weighted = assemble_lmmse_lsfd(local, weights, plan).vectors
+        weighted = assemble_lmmse_lsfd(local, weights, plan)
         unit = assemble_lmmse_lsfd(local, [np.ones(len(c)) for c in plan.cluster_of_ue],
-                                   plan).vectors
+                                   plan)
 
         # rescale the weighted solution to its MSE-optimal complex scale
         ghat = combined_gains(weighted, est.estimates)

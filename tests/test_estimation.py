@@ -9,8 +9,6 @@ from cellfree_sim.estimation import (
     PilotEstimator,
     error_statistics_check,
     psi_matrix,
-    sample_estimates_direct,
-    simulate_pilot_and_estimate,
 )
 from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
 
@@ -120,11 +118,12 @@ class TestEstimates:
         plan = make_plan([0], [[0]])
         cfg = make_cfg(L=1, K=1, N=2, tau_p=1, sigma2=0.5)
         draws = sample_channels(stats, np.random.default_rng(0), 6)
-        est = simulate_pilot_and_estimate(stats, plan, cfg, draws, np.random.default_rng(1))
+        estimator = PilotEstimator(stats, plan, cfg)
+        est = estimator.estimate(draws, np.random.default_rng(1))
         phased = stats.phased_mean()
         for r in range(6):
             np.testing.assert_array_equal(est.estimates[r], phased)
-        assert np.all(est.err_cov == 0)
+        assert np.all(estimator.err_cov == 0)
 
     def test_estimator_moments_on_contaminated_pair(self):
         # two UEs sharing one pilot at two APs; all three moment checks must
@@ -174,22 +173,3 @@ class TestEstimates:
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
         with pytest.raises(ConfigError):
             error_statistics_check(stats, plan, cfg, 10, np.random.default_rng(0))
-
-    def test_direct_shortcut_matches_theory_for_single_ue(self):
-        stats = make_stats(
-            np.array([[[0.9 - 0.2j, 0.4j]]]), 0.6 * identity_cov(1, 1, 2), phases=[[1.1]]
-        )
-        plan = make_plan([0], [[0]], pilot_powers=[0.8], pilot_count=1)
-        cfg = make_cfg(L=1, K=1, N=2, tau_p=1, sigma2=0.2)
-        n = 60_000
-        draws, est = sample_estimates_direct(stats, plan, cfg, np.random.default_rng(5), n)
-
-        theory = PilotEstimator(stats, plan, cfg)
-        phased = stats.phased_mean()
-        err = draws.true_channels - est.estimates
-        emp_err_cov = np.einsum("rln,rlm->nm", err[:, :, :, 0], err[:, :, :, 0].conj()) / n
-        np.testing.assert_allclose(emp_err_cov, theory.err_cov[0, 0], atol=0.05 * 0.6)
-        innov = est.estimates - phased[None]
-        emp_est_cov = np.einsum("rln,rlm->nm", innov[:, :, :, 0], innov[:, :, :, 0].conj()) / n
-        expected_est_cov = stats.nlos_cov[0, 0] - theory.err_cov[0, 0]
-        np.testing.assert_allclose(emp_est_cov, expected_est_cov, atol=0.05 * 0.6)

@@ -10,7 +10,6 @@ from cellfree_sim.evaluation import (
     _uatf_from_moments,
     cd_se,
     evaluate_schemes,
-    run_monte_carlo,
     uatf_se,
 )
 
@@ -98,33 +97,36 @@ class TestEngine:
         budgets = MonteCarloBudgets(stat_draws=4, eval_draws=8)
         reports = evaluate_schemes(stats, plan, cfg, list(Scheme), budgets, 21)
         for rep in reports.values():
-            np.testing.assert_allclose(rep.cd_se, rep.uatf_se, rtol=1e-12)
+            np.testing.assert_allclose(rep.cd.se, rep.uatf.se, rtol=1e-12)
 
     def test_pure_los_single_link_matches_analytic_snr(self):
         # one AP, one UE, one antenna, deterministic channel: any combiner
         # scale gives SINR = p beta / sigma^2 and the pilot overhead prelog
         cfg, plan, stats = build_instance(2, kappa_override=np.inf, L=1, K=1, N=1, tau_p=1)
         budgets = MonteCarloBudgets(stat_draws=2, eval_draws=4)
-        rep = run_monte_carlo(stats, plan, cfg, Scheme.MMSE, budgets, 3)
+        rep = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], budgets, 3)[Scheme.MMSE]
         snr = plan.powers_w[0] * stats.beta_lin[0, 0] / cfg.noise_power_w
         prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
         assert prelog == pytest.approx((200 - 1) / 200)
-        assert rep.uatf_se[0] == pytest.approx(prelog * np.log2(1 + snr), rel=1e-10)
+        assert rep.uatf.se[0] == pytest.approx(prelog * np.log2(1 + snr), rel=1e-10)
 
     def test_cd_dominates_uatf_for_mmse(self):
         cfg, plan, stats = build_instance(9)
         budgets = MonteCarloBudgets(stat_draws=100, eval_draws=400)
-        rep = run_monte_carlo(stats, plan, cfg, Scheme.MMSE, budgets, 31)
+        rep = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], budgets, 31)[Scheme.MMSE]
         slack = rep.uatf.ci + rep.cd.ci
-        assert np.all(rep.cd_se >= rep.uatf_se - slack)
+        assert np.all(rep.cd.se >= rep.uatf.se - slack)
 
     def test_aggregates_match_per_ue_values(self):
         cfg, plan, stats = build_instance(4)
         budgets = MonteCarloBudgets(stat_draws=50, eval_draws=60)
-        rep = run_monte_carlo(stats, plan, cfg, Scheme.LMMSE_LSFD, budgets, 17)
-        assert rep.min_uatf_se == rep.uatf_se.min()
-        assert rep.sum_uatf_se == pytest.approx(rep.uatf_se.sum(), rel=1e-15)
-        assert np.all(np.diff(rep.sorted_uatf_se) >= 0)
+        scheme = Scheme.LMMSE_LSFD
+        rep = evaluate_schemes(stats, plan, cfg, [scheme], budgets, 17)[scheme]
+        # the reported UatF signal/interference/noise aggregates give back each UE's SE
+        prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
+        fluctuation = np.maximum(rep.uatf_interference - rep.uatf_signal, 0.0)
+        sinr = rep.uatf_signal / (fluctuation + rep.uatf_noise)
+        np.testing.assert_allclose(rep.uatf.se, prelog * np.log2(1.0 + sinr), rtol=1e-12)
         assert rep.draw_count == 60
 
     def test_reproducible_and_paired_across_schemes(self):
@@ -132,20 +134,21 @@ class TestEngine:
         budgets = MonteCarloBudgets(stat_draws=40, eval_draws=50)
         joint = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE, Scheme.LTMMSE], budgets, 77)
         again = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE, Scheme.LTMMSE], budgets, 77)
-        solo = run_monte_carlo(stats, plan, cfg, Scheme.MMSE, budgets, 77)
+        solo = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], budgets, 77)[Scheme.MMSE]
         for scheme in (Scheme.MMSE, Scheme.LTMMSE):
-            np.testing.assert_array_equal(joint[scheme].uatf_se, again[scheme].uatf_se)
-            np.testing.assert_array_equal(joint[scheme].cd_se, again[scheme].cd_se)
+            np.testing.assert_array_equal(joint[scheme].uatf.se, again[scheme].uatf.se)
+            np.testing.assert_array_equal(joint[scheme].cd.se, again[scheme].cd.se)
         # a single-scheme run sees the same draw streams as a joint run
-        np.testing.assert_array_equal(solo.uatf_se, joint[Scheme.MMSE].uatf_se)
+        np.testing.assert_array_equal(solo.uatf.se, joint[Scheme.MMSE].uatf.se)
 
     def test_budget_doubling_moves_se_less_than_joint_ci(self):
         cfg, plan, stats = build_instance(8)
-        small = run_monte_carlo(stats, plan, cfg, Scheme.MMSE,
-                                MonteCarloBudgets(stat_draws=50, eval_draws=300), 13)
-        large = run_monte_carlo(stats, plan, cfg, Scheme.MMSE,
-                                MonteCarloBudgets(stat_draws=50, eval_draws=600), 13)
-        gap = np.abs(small.uatf_se - large.uatf_se)
+        small, large = (
+            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE],
+                             MonteCarloBudgets(stat_draws=50, eval_draws=n), 13)[Scheme.MMSE]
+            for n in (300, 600)
+        )
+        gap = np.abs(small.uatf.se - large.uatf.se)
         assert np.all(gap <= 4.0 * np.sqrt(small.uatf.ci**2 + large.uatf.ci**2))
 
     def test_scheme_ordering_under_uatf(self):
@@ -155,11 +158,11 @@ class TestEngine:
         mmse, lt, lsfd = (reports[s] for s in (Scheme.MMSE, Scheme.LTMMSE, Scheme.LMMSE_LSFD))
         tol_top = 1.96 * np.sqrt(mmse.uatf.ci**2 + lt.uatf.ci**2)
         tol_bot = 1.96 * np.sqrt(lt.uatf.ci**2 + lsfd.uatf.ci**2)
-        assert np.all(mmse.uatf_se >= lt.uatf_se - tol_top)
-        assert np.all(lt.uatf_se >= lsfd.uatf_se - tol_bot)
+        assert np.all(mmse.uatf.se >= lt.uatf.se - tol_top)
+        assert np.all(lt.uatf.se >= lsfd.uatf.se - tol_bot)
 
     def test_budget_guard(self):
         cfg, plan, stats = build_instance(4)
         with pytest.raises(ConfigError):
-            run_monte_carlo(stats, plan, cfg, Scheme.MMSE,
-                            MonteCarloBudgets(stat_draws=1, eval_draws=10), 0)
+            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE],
+                             MonteCarloBudgets(stat_draws=1, eval_draws=10), 0)

@@ -1,15 +1,20 @@
 """Config parsing, experiment drivers, CSV contract and CLI behavior."""
 
+import dataclasses
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
 
+from cellfree_sim import experiments
+from cellfree_sim.channel import build_channel_stats
 from cellfree_sim.cli import main
 from cellfree_sim.errors import ConfigError, NumericalError
 from cellfree_sim.experiments import (
     DEFAULT_SEED,
+    _setup_reports,
     config_from_dict,
     parse_config,
     run_cdf,
@@ -18,6 +23,8 @@ from cellfree_sim.experiments import (
     run_kappa_sweep,
     write_csv,
 )
+from cellfree_sim.rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
+from cellfree_sim.scenario import deploy
 
 TINY_AREA = {
     "side_length_m": 350.0,
@@ -99,6 +106,39 @@ class TestParseConfig:
             ))
         assert cfg.pc_exponent == -0.5
         assert any("pc_exponent" in record.message for record in caplog.records)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"kappa_grid": 5}, id="kappa_grid-not-list"),
+        pytest.param({"schemes": 5}, id="schemes-not-list"),
+        pytest.param({"out_dir": 5}, id="out_dir-not-path"),
+        pytest.param({"kappa_grid": [0.0, math.nan]}, id="kappa_grid-nan"),
+        pytest.param({"pc_exponent": math.nan}, id="pc_exponent-nan"),
+        pytest.param({"area": {"side_length_m": math.nan}}, id="side_length_m-nan"),
+        pytest.param({"d_grid": [{"d_m": math.inf}]}, id="d_m-inf"),
+        pytest.param({"kappa_grid": [True]}, id="kappa_grid-bool"),
+        pytest.param({"area": {"ap_count": 2.5}}, id="ap_count-fractional"),
+    ])
+    def test_malformed_values_raise_config_error(self, overrides):
+        experiment = "density_sweep" if "d_grid" in overrides else "kappa_sweep"
+        with pytest.raises(ConfigError):
+            config_from_dict({"experiment": experiment, **overrides})
+
+
+class TestSetupBuilder:
+    def test_distance_law_stats_match_build_channel_stats(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, experiment="cdf")
+        seen = []
+        monkeypatch.setattr(experiments, "evaluate_schemes",
+                            lambda stats, *args: seen.append(stats) or {})
+        _setup_reports(cfg, cfg.area, 0)
+
+        base = subsequence(cfg.seed, 0)
+        dep = deploy(cfg.area, substream(base, ROLE_DEPLOY))
+        direct = build_channel_stats(dep, cfg.area, substream(base, ROLE_PHASES))
+        assert len(seen) == 1
+        for field in dataclasses.fields(direct):
+            np.testing.assert_array_equal(getattr(seen[0], field.name),
+                                          getattr(direct, field.name), err_msg=field.name)
 
 
 class TestCsvContract:
