@@ -12,7 +12,6 @@ from .beamforming import (
     Scheme,
     assemble_lmmse_lsfd,
     assemble_ltmmse,
-    lmmse_local_matrix,
     lsfd_weights,
     ltmmse_stage2,
     mmse_combiner,

@@ -24,11 +24,11 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelStats, sample_channels
+from .channel import sample_channels
 from .errors import ConfigError
 from .estimation import EstimateSet, PilotEstimator
 from .rng import substream
-from .scenario import AreaConfig, ServicePlan
+from .scenario import ServicePlan
 
 # Draws per Monte Carlo chunk; chunk c always draws from substream(stream, c).
 CHUNK = 128
@@ -47,18 +47,15 @@ class PiSet:
 
     pi: np.ndarray           # (L, K, K) complex
     se: np.ndarray           # (L, K, K) per-entry standard error of the estimate
-    sample_count: int
 
 
 @dataclass(frozen=True)
 class LsfdMoments:
     """Monte Carlo moments needed for the optimal LSFD weights of each UE."""
 
-    clusters: tuple[np.ndarray, ...]
     mean_gain: tuple[np.ndarray, ...]        # f_k, (M_k,) complex
     second_moments: tuple[np.ndarray, ...]   # (K, M_k, M_k) complex per UE
     noise_power: tuple[np.ndarray, ...]      # E ||V_l e_k||^2 per serving AP, (M_k,)
-    sample_count: int
 
 
 def mmse_combiner(est: EstimateSet, plan: ServicePlan, sigma2: float) -> np.ndarray:
@@ -91,23 +88,16 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def lmmse_local_matrix(estimates_l: np.ndarray, z_l: np.ndarray,
-                       powers: np.ndarray, sigma2: float) -> np.ndarray:
-    """Local MMSE matrix of one AP: columns are per-UE combiners.
-
-    Accepts arbitrary leading batch dimensions on `estimates_l` (..., N, K)
-    with broadcastable `z_l` (..., N, N).
-    """
-    N = estimates_l.shape[-2]
-    gram = np.einsum("...nk,k,...mk->...nm", estimates_l, powers, estimates_l.conj())
-    system = gram + z_l + sigma2 * np.eye(N)
-    rhs = estimates_l * np.sqrt(powers)
-    return np.linalg.solve(system, rhs)
-
-
 def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan, sigma2: float) -> np.ndarray:
-    """All local MMSE matrices for a batch of draws, shape (draws, L, N, K)."""
-    return lmmse_local_matrix(est.estimates, est.z_matrices[None], plan.powers_w, sigma2)
+    """Local MMSE matrices of every AP for a batch of draws, shape (draws, L, N, K).
+
+    Column k of the (N, K) matrix of AP l is the local combiner of UE k.
+    """
+    H = est.estimates
+    N = H.shape[-2]
+    gram = np.einsum("...nk,k,...mk->...nm", H, plan.powers_w, H.conj())
+    system = gram + est.z_matrices[None] + sigma2 * np.eye(N)
+    return np.linalg.solve(system, H * np.sqrt(plan.powers_w))
 
 
 @dataclass(frozen=True)
@@ -128,8 +118,8 @@ def estimated_draws(estimator: PilotEstimator, total: int, chunk: int, stream):
         yield draws, estimator.estimate(draws, gen)
 
 
-def statistics_pass(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                    mc: int, stream, need_pi: bool, need_lsfd: bool) -> StatisticalModel:
+def statistics_pass(estimator: PilotEstimator, mc: int, stream,
+                    need_pi: bool, need_lsfd: bool) -> StatisticalModel:
     """Shared statistics sweep feeding both distributed schemes.
 
     One stream of channel draws is used for every AP and both accumulation
@@ -139,7 +129,8 @@ def statistics_pass(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     """
     if mc < MIN_STAT_DRAWS:
         raise ConfigError(f"statistics budget must be at least {MIN_STAT_DRAWS} draws")
-    K, L, N = stats.los_mean.shape
+    plan, sigma2 = estimator.plan, estimator.cfg.noise_power_w
+    K, L, N = estimator.stats.los_mean.shape
     sqrt_p = np.sqrt(plan.powers_w)
     # keep per-chunk scratch below ~32M complex entries
     chunk = max(1, min(CHUNK, int(3.2e7 / max(L * K * K, 1))))
@@ -151,9 +142,8 @@ def statistics_pass(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     g_sum = [np.zeros((K, len(c), len(c)), dtype=complex) for c in clusters]
     s_sum = [np.zeros(len(c)) for c in clusters]
 
-    estimator = PilotEstimator(stats, plan, cfg)
     for draws, est in estimated_draws(estimator, mc, chunk, stream):
-        local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
+        local = lmmse_local_matrices(est, plan, sigma2)
 
         if need_pi:
             cross = np.einsum("rlni,rlnj->rlij", est.estimates.conj(), local)
@@ -174,15 +164,13 @@ def statistics_pass(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     if need_pi:
         mean = pi_sum / mc
         variance = np.maximum(pi_sumsq / mc - np.abs(mean) ** 2, 0.0)
-        pi = PiSet(pi=mean, se=np.sqrt(variance / mc), sample_count=mc)
+        pi = PiSet(pi=mean, se=np.sqrt(variance / mc))
     lsfd = None
     if need_lsfd:
         lsfd = LsfdMoments(
-            clusters=tuple(clusters),
             mean_gain=tuple(f / mc for f in f_sum),
             second_moments=tuple(g / mc for g in g_sum),
             noise_power=tuple(s / mc for s in s_sum),
-            sample_count=mc,
         )
     return StatisticalModel(pi=pi, lsfd=lsfd)
 

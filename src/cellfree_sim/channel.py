@@ -20,9 +20,12 @@ from scipy.linalg import toeplitz
 from .errors import ConfigError, NumericalError
 from .scenario import AreaConfig, Deployment, rician_factor
 
-DEFAULT_ANGLE_SPREAD_RAD = np.radians(5.0)
-DEFAULT_ANTENNA_SPACING = 0.5  # in wavelengths
+ANGLE_SPREAD_RAD = np.radians(5.0)
+ANTENNA_SPACING = 0.5  # in wavelengths
 _TRUNCATION_SIGMAS = 8.0
+QUAD_TOL = 1e-8
+QUAD_MAX_NODES = 256  # per angle axis
+PSD_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,10 @@ class ChannelDraw:
         return self.true_channels.shape[0]
 
 
-def los_signature(azimuth: float, elevation: float, n_antennas: int,
-                  spacing_wavelengths: float = DEFAULT_ANTENNA_SPACING) -> np.ndarray:
+def los_signature(azimuth: float, elevation: float, n_antennas: int) -> np.ndarray:
     """Uniform-linear-array steering vector for a nominal arrival direction."""
     n = np.arange(n_antennas)
-    return np.exp(2j * np.pi * spacing_wavelengths * n * np.sin(azimuth) * np.cos(elevation))
+    return np.exp(2j * np.pi * ANTENNA_SPACING * n * np.sin(azimuth) * np.cos(elevation))
 
 
 @lru_cache(maxsize=32)
@@ -100,17 +102,15 @@ def _wrapped_axis(mean: float, sigma: float, support_lo: float, support_hi: floa
 
 def local_scattering_covariance(azimuth: float, elevation: float,
                                 sigma_az: float, sigma_el: float,
-                                n_antennas: int,
-                                spacing_wavelengths: float = DEFAULT_ANTENNA_SPACING,
-                                tol: float = 1e-8, max_nodes: int = 256) -> np.ndarray:
+                                n_antennas: int) -> np.ndarray:
     """Normalized spatial correlation matrix of the scattered component.
 
     Entry (x, y) is the expectation of exp(j 2 pi spacing (x-y) sin(az) cos(el))
     over the truncated wrapped Gaussian angle distribution, evaluated with a
-    tensor-product Gauss-Legendre rule. The node count doubles until two
-    successive refinements agree to `tol` in Frobenius norm. The result has a
-    unit diagonal and is PSD by construction (a positive combination of
-    steering-vector outer products).
+    tensor-product Gauss-Legendre rule. The node count doubles from 16 until two
+    successive refinements agree to QUAD_TOL in Frobenius norm; NumericalError
+    past QUAD_MAX_NODES per axis. The result has a unit diagonal and is PSD by
+    construction (a positive combination of steering-vector outer products).
     """
     if sigma_az <= 0 or sigma_el <= 0:
         raise ConfigError("angle spreads must be positive")
@@ -119,7 +119,7 @@ def local_scattering_covariance(azimuth: float, elevation: float,
 
     prev = None
     n = 16
-    while n <= max_nodes:
+    while n <= QUAD_MAX_NODES:
         az_ang, az_w = _wrapped_axis(azimuth, sigma_az, -np.pi, np.pi, n)
         el_ang, el_w = _wrapped_axis(elevation, sigma_el, 0.0, np.pi, n)
         direction = np.sin(az_ang)[:, None] * np.cos(el_ang)[None, :]
@@ -127,7 +127,7 @@ def local_scattering_covariance(azimuth: float, elevation: float,
         mass = weight.sum()
 
         # Toeplitz structure: only the first row of the matrix is needed.
-        step = np.exp(2j * np.pi * spacing_wavelengths * direction)
+        step = np.exp(2j * np.pi * ANTENNA_SPACING * direction)
         first_row = np.empty(n_antennas, dtype=complex)
         running = weight.astype(complex)
         first_row[0] = running.sum() / mass
@@ -136,21 +136,21 @@ def local_scattering_covariance(azimuth: float, elevation: float,
             first_row[m] = running.sum() / mass
 
         cov = toeplitz(first_row, np.conj(first_row))
-        if prev is not None and np.linalg.norm(cov - prev) < tol:
+        if prev is not None and np.linalg.norm(cov - prev) < QUAD_TOL:
             return cov
         prev = cov
         n *= 2
     raise NumericalError(
-        f"scattering covariance quadrature did not converge within {max_nodes} nodes per axis"
+        f"scattering covariance quadrature did not converge within {QUAD_MAX_NODES} nodes per axis"
     )
 
 
-def _psd_factor(matrix: np.ndarray, trace_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _psd_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (repaired matrix, factor F with F F^H = matrix).
 
     Cholesky on the fast path; semidefinite or slightly rounded matrices fall
     back to an eigendecomposition with negative eigenvalues clipped to zero.
-    Eigenvalues below -trace_tol * trace are treated as a real failure.
+    Eigenvalues below -PSD_TRACE_TOL * trace are treated as a real failure.
     """
     trace = float(np.real(np.trace(matrix)))
     if trace == 0.0:
@@ -160,7 +160,7 @@ def _psd_factor(matrix: np.ndarray, trace_tol: float = 1e-10) -> tuple[np.ndarra
     except np.linalg.LinAlgError:
         pass
     eigval, eigvec = np.linalg.eigh(matrix)
-    if eigval.min() < -trace_tol * trace:
+    if eigval.min() < -PSD_TRACE_TOL * trace:
         raise NumericalError("scattering covariance is indefinite beyond tolerance")
     clipped = np.clip(eigval, 0.0, None)
     repaired = (eigvec * clipped) @ eigvec.conj().T
@@ -177,11 +177,7 @@ class PairGeometry:
     scattering: np.ndarray  # (K, L, N, N) unit-diagonal correlation matrices
 
 
-def pair_geometry(dep: Deployment, cfg: AreaConfig,
-                  sigma_az: float = DEFAULT_ANGLE_SPREAD_RAD,
-                  sigma_el: float = DEFAULT_ANGLE_SPREAD_RAD,
-                  spacing_wavelengths: float = DEFAULT_ANTENNA_SPACING,
-                  quad_tol: float = 1e-8) -> PairGeometry:
+def pair_geometry(dep: Deployment, cfg: AreaConfig) -> PairGeometry:
     """Steering vectors and normalized scattering matrices for every pair."""
     K, L = dep.gains_db.shape
     N = cfg.antennas_per_ap
@@ -189,25 +185,32 @@ def pair_geometry(dep: Deployment, cfg: AreaConfig,
     scattering = np.empty((K, L, N, N), dtype=complex)
     for k in range(K):
         for l in range(L):
-            steering[k, l] = los_signature(
-                dep.azimuth[k, l], dep.elevation[k, l], N, spacing_wavelengths
-            )
+            steering[k, l] = los_signature(dep.azimuth[k, l], dep.elevation[k, l], N)
             scattering[k, l] = local_scattering_covariance(
-                dep.azimuth[k, l], dep.elevation[k, l], sigma_az, sigma_el,
-                N, spacing_wavelengths, tol=quad_tol,
+                dep.azimuth[k, l], dep.elevation[k, l],
+                ANGLE_SPREAD_RAD, ANGLE_SPREAD_RAD, N,
             )
     return PairGeometry(steering=steering, scattering=scattering)
 
 
-def stats_from_geometry(geom: PairGeometry, beta_lin: np.ndarray, kappa: np.ndarray,
-                        phases: np.ndarray) -> ChannelStats:
-    """Scale geometry into full channel statistics for given gains and kappas.
+def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
+                        kappa_override: float | None = None) -> ChannelStats:
+    """Scale geometry into full channel statistics for one deployment.
 
-    The pair gain splits between the deterministic and scattered parts in the
-    ratio kappa : 1, so trace(cov) + |mean|^2 = N * beta for every pair.
-    Kappa values of 0 and inf give the pure-NLoS and pure-LoS limits exactly.
+    Pair gains come from `dep`; Rician factors follow the distance law, or
+    `kappa_override` uniformly for all pairs. The pair gain splits between
+    the deterministic and scattered parts in the ratio kappa : 1, so
+    trace(cov) + |mean|^2 = N * beta for every pair. Kappa values of 0 and
+    inf give the pure-NLoS and pure-LoS limits exactly.
     """
     K, L, N = geom.steering.shape
+    beta_lin = 10.0 ** (dep.gains_db / 10.0)
+    if kappa_override is None:
+        kappa = rician_factor(dep.distances_3d)
+    else:
+        if kappa_override < 0:
+            raise ConfigError("kappa_override must be >= 0")
+        kappa = np.full((K, L), float(kappa_override))
     with np.errstate(invalid="ignore"):
         los_share = np.where(np.isinf(kappa), 1.0, kappa / (kappa + 1.0))
         nlos_share = np.where(np.isinf(kappa), 0.0, 1.0 / (kappa + 1.0))
@@ -232,29 +235,14 @@ def stats_from_geometry(geom: PairGeometry, beta_lin: np.ndarray, kappa: np.ndar
 
 
 def build_channel_stats(dep: Deployment, cfg: AreaConfig, rng: np.random.Generator,
-                        kappa_override: float | None = None,
-                        sigma_az: float = DEFAULT_ANGLE_SPREAD_RAD,
-                        sigma_el: float = DEFAULT_ANGLE_SPREAD_RAD,
-                        spacing_wavelengths: float = DEFAULT_ANTENNA_SPACING,
-                        quad_tol: float = 1e-8) -> ChannelStats:
+                        kappa_override: float | None = None) -> ChannelStats:
     """Assemble LoS signatures, phases and scattered covariances for one drop.
 
     LoS phases are drawn once per setup, uniformly on [0, 2 pi), and stay
-    fixed across all coherence blocks. `kappa_override` replaces the
-    distance-based Rician factor uniformly for all pairs.
+    fixed across all coherence blocks.
     """
-    K, L = dep.gains_db.shape
-    beta_lin = 10.0 ** (dep.gains_db / 10.0)
-    if kappa_override is None:
-        kappa = rician_factor(dep.distances_3d)
-    else:
-        if kappa_override < 0:
-            raise ConfigError("kappa_override must be >= 0")
-        kappa = np.full((K, L), float(kappa_override))
-
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(K, L))
-    geom = pair_geometry(dep, cfg, sigma_az, sigma_el, spacing_wavelengths, quad_tol)
-    return stats_from_geometry(geom, beta_lin, kappa, phases)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=dep.gains_db.shape)
+    return stats_from_geometry(pair_geometry(dep, cfg), dep, phases, kappa_override)
 
 
 def sample_channels(stats: ChannelStats, rng: np.random.Generator, n_draws: int = 1) -> ChannelDraw:

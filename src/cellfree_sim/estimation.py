@@ -19,6 +19,9 @@ from .channel import ChannelDraw, ChannelStats, sample_channels
 from .errors import ConfigError
 from .scenario import AreaConfig, ServicePlan
 
+# Draws per chunk of `error_statistics_check`.
+CHECK_CHUNK = 20_000
+
 
 @dataclass(frozen=True)
 class EstimateSet:
@@ -126,9 +129,8 @@ class EstimationDiagnostics:
         return max(self.max_mean_dev_se, self.max_errcov_dev_se, self.max_cross_dev_se) <= se_limit
 
 
-def error_statistics_check(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                           n_draws: int, rng: np.random.Generator,
-                           min_draws: int = 10_000, chunk: int = 20_000) -> EstimationDiagnostics:
+def error_statistics_check(estimator: PilotEstimator, n_draws: int, rng: np.random.Generator,
+                           min_draws: int = 10_000) -> EstimationDiagnostics:
     """Monte Carlo check of the estimator's first and second moments.
 
     Verifies that estimates average to the phased LoS mean, that the
@@ -139,7 +141,7 @@ def error_statistics_check(stats: ChannelStats, plan: ServicePlan, cfg: AreaConf
     """
     if n_draws < min_draws:
         raise ConfigError(f"need at least {min_draws} draws for stable diagnostics")
-    estimator = PilotEstimator(stats, plan, cfg)
+    stats, plan = estimator.stats, estimator.plan
     K, L, N = stats.los_mean.shape
     phased = estimator._phased_mean                      # (L, N, K)
 
@@ -156,7 +158,7 @@ def error_statistics_check(stats: ChannelStats, plan: ServicePlan, cfg: AreaConf
 
     done = 0
     while done < n_draws:
-        r = min(chunk, n_draws - done)
+        r = min(CHECK_CHUNK, n_draws - done)
         draws = sample_channels(stats, rng, r)
         est = estimator.estimate(draws, rng)
         err = draws.true_channels - est.estimates        # (r, L, N, K)

@@ -59,7 +59,6 @@ class BoundEstimate:
 
     se: np.ndarray            # (K,) bits/s/Hz
     ci: np.ndarray            # (K,) 95% halfwidth from batch means
-    se_batches: np.ndarray    # (B, K)
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
             own[rows].mean(axis=0), (np.abs(gains[rows]) ** 2).mean(axis=0),
             vnorm2[rows].mean(axis=0), powers, sigma2, prelog,
         )
-    estimate = BoundEstimate(se=se_full, ci=_batch_ci(se_batches), se_batches=se_batches)
+    estimate = BoundEstimate(se=se_full, ci=_batch_ci(se_batches))
     extras = {
         "signal": parts[0],
         "interference": parts[1],
@@ -162,7 +161,7 @@ def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
     se_batches = np.empty((n_batches, K))
     for b in range(n_batches):
         se_batches[b] = prelog * log_terms[batch == b].mean(axis=0)
-    return BoundEstimate(se=se_full, ci=_batch_ci(se_batches), se_batches=se_batches)
+    return BoundEstimate(se=se_full, ci=_batch_ci(se_batches))
 
 
 def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
@@ -174,6 +173,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     matrices; the evaluation budget feeds the SE estimates. Both use draw
     streams keyed by (role, chunk index), so results are reproducible for any
     worker layout, and all schemes see identical draws (paired comparison).
+    One `PilotEstimator` serves both budgets.
     """
     budgets.validate()
     schemes = [Scheme(s) for s in schemes]
@@ -185,12 +185,13 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     need_lsfd = Scheme.LMMSE_LSFD in schemes
     need_pi = Scheme.LTMMSE in schemes
     need_local = need_lsfd or need_pi
+    estimator = PilotEstimator(stats, plan, cfg)
     stat_used = 0
     weights = stage2_full = None
     regularized: dict[Scheme, tuple[int, ...]] = {s: () for s in schemes}
     if need_local:
         model = statistics_pass(
-            stats, plan, cfg, budgets.stat_draws, subsequence(stream, ROLE_STATISTICS),
+            estimator, budgets.stat_draws, subsequence(stream, ROLE_STATISTICS),
             need_pi=need_pi, need_lsfd=need_lsfd,
         )
         stat_used = budgets.stat_draws
@@ -201,7 +202,6 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
             stage2_full, flagged = stage2_all(model.pi, plan)
             regularized[Scheme.LTMMSE] = flagged
 
-    estimator = PilotEstimator(stats, plan, cfg)
     gains = {s: [] for s in schemes}
     est_gains = {s: [] for s in schemes}
     quads = {s: [] for s in schemes}

@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .evaluation import MonteCarloBudgets, SeReport, evaluate_schemes
 from .rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
 from .scenario import AreaConfig, apply_power_control, assign_pilots_and_clusters, deploy
-from .scenario import is_integer, is_number, rician_factor
+from .scenario import is_integer, is_number
 
 log = logging.getLogger(__name__)
 
@@ -176,6 +176,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         schemes = tuple(Scheme(s) for s in schemes_raw)
         if not schemes:
             problems.append("schemes must not be empty")
+        elif len(set(schemes)) < len(schemes):
+            problems.append("schemes must not repeat")
     except ValueError:
         problems.append(f"schemes must be a list drawn from {[s.value for s in Scheme]}")
 
@@ -196,21 +198,23 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     d_grid: tuple[tuple[float, float], ...] = ()
     if d_grid_raw is None:
         d_grid = tuple((d, d * _P_MAX_PER_METER) for d in DEFAULT_D_GRID_M)
+    elif not isinstance(d_grid_raw, list) or not all(isinstance(i, dict) for i in d_grid_raw):
+        problems.append("d_grid must be a list of objects")
     else:
-        try:
+        unknown_item = set().union(*d_grid_raw) - {"d_m", "p_max_w"}
+        if unknown_item:
+            problems.append(f"unknown d_grid keys: {sorted(unknown_item)}")
+        else:
             items = []
             for item in d_grid_raw:
-                unknown_item = set(item) - {"d_m", "p_max_w"}
-                if unknown_item:
-                    raise KeyError(f"unknown d_grid keys: {sorted(unknown_item)}")
-                d = float(item["d_m"])
-                p = float(item.get("p_max_w", d * _P_MAX_PER_METER))
-                if not (0.0 < d < math.inf and 0.0 < p < math.inf):
-                    raise ValueError("d_m and p_max_w must be positive and finite")
-                items.append((d, p))
-            d_grid = tuple(items)
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"d_grid: {exc}")
+                d = item.get("d_m")
+                p = item.get("p_max_w", float(d) * _P_MAX_PER_METER if is_number(d) else None)
+                if not all(is_number(x) and 0.0 < x < math.inf for x in (d, p)):
+                    problems.append("d_grid: d_m and p_max_w must be positive finite numbers")
+                    break
+                items.append((float(d), float(p)))
+            else:
+                d_grid = tuple(items)
     if experiment == "density_sweep" and not d_grid:
         problems.append("d_grid must not be empty for density_sweep")
 
@@ -260,18 +264,12 @@ def _setup_reports(cfg: ExperimentConfig, area: AreaConfig, setup: int,
     plan = assign_pilots_and_clusters(dep, area)
     plan = apply_power_control(plan, dep, cfg.pc_exponent, area.p_max_w)
     geom = pair_geometry(dep, area)
-    beta_lin = 10.0 ** (dep.gains_db / 10.0)
     phases = substream(base, ROLE_PHASES).uniform(0.0, 2.0 * np.pi, size=dep.gains_db.shape)
-
-    out = []
-    for kappa in kappas:
-        if kappa is None:
-            kappa_mat = rician_factor(dep.distances_3d)
-        else:
-            kappa_mat = np.full(dep.gains_db.shape, float(kappa))
-        stats = stats_from_geometry(geom, beta_lin, kappa_mat, phases)
-        out.append(evaluate_schemes(stats, plan, area, cfg.schemes, cfg.budgets(), base))
-    return out
+    return [
+        evaluate_schemes(stats_from_geometry(geom, dep, phases, kappa), plan, area,
+                         cfg.schemes, cfg.budgets(), base)
+        for kappa in kappas
+    ]
 
 
 def _report_rows(cfg: ExperimentConfig, setup: int, sweep: float,

@@ -31,8 +31,13 @@ def is_integer(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """True for real numbers other than NaN (infinities pass); False for bools."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
+    """True for real non-bool numbers other than NaN that fit a float (infinities pass)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return not math.isnan(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

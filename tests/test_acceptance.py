@@ -76,10 +76,11 @@ def test_criterion_1_pure_los_team_equals_centralized():
 
     gen = np.random.default_rng(1)
     draws = sample_channels(stats, gen, 1)
-    est = PilotEstimator(stats, plan, cfg).estimate(draws, gen)
+    estimator = PilotEstimator(stats, plan, cfg)
+    est = estimator.estimate(draws, gen)
     centralized = mmse_combiner(est, plan, cfg.noise_power_w)
 
-    model = statistics_pass(stats, plan, cfg, 2, np.random.SeedSequence(2),
+    model = statistics_pass(estimator, 2, np.random.SeedSequence(2),
                             need_pi=True, need_lsfd=False)
     stage2, _ = stage2_all(model.pi, plan)
     team = assemble_ltmmse(lmmse_local_matrices(est, plan, cfg.noise_power_w),
@@ -107,7 +108,7 @@ def test_criterion_2_nlos_team_matches_lsfd_within_ci():
     tol = np.sqrt(lt.uatf.ci**2 + lm.uatf.ci**2)  # 95% halfwidth of the difference
     assert np.all(diff <= tol), (diff, tol)
 
-    pi = statistics_pass(stats, plan, cfg, 2000, np.random.SeedSequence(23),
+    pi = statistics_pass(PilotEstimator(stats, plan, cfg), 2000, np.random.SeedSequence(23),
                          need_pi=True, need_lsfd=False).pi
     off = ~np.eye(cfg.ue_count, dtype=bool)
     se_ratio = np.abs(pi.pi[:, off]) / np.maximum(pi.se[:, off], 1e-300)
@@ -204,7 +205,8 @@ def test_criterion_6_estimator_consistency():
     stats = cf.build_channel_stats(dep, cfg, np.random.default_rng(61))
     assert plan.copilot_sets[0] == frozenset({0, 1})  # contaminated pair
 
-    report = error_statistics_check(stats, plan, cfg, 100_000, np.random.default_rng(62))
+    report = error_statistics_check(PilotEstimator(stats, plan, cfg), 100_000,
+                                    np.random.default_rng(62))
     elapsed = time.time() - start
     assert report.within(5.0), report
     assert elapsed < 60.0
@@ -255,9 +257,10 @@ def test_criterion_8_team_fixed_point():
 
     gen = np.random.default_rng(80)
     draws = sample_channels(stats, gen, 1)
-    est = PilotEstimator(stats, plan, cfg).estimate(draws, gen)
+    estimator = PilotEstimator(stats, plan, cfg)
+    est = estimator.estimate(draws, gen)
     local = lmmse_local_matrices(est, plan, sigma2)
-    model = statistics_pass(stats, plan, cfg, 2, np.random.SeedSequence(81),
+    model = statistics_pass(estimator, 2, np.random.SeedSequence(81),
                             need_pi=True, need_lsfd=False)
     stage2, _ = stage2_all(model.pi, plan)
     team = assemble_ltmmse(local, stage2, plan)[0]             # (L, N, K)

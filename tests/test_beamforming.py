@@ -9,7 +9,6 @@ from cellfree_sim.beamforming import (
     assemble_lmmse_lsfd,
     assemble_ltmmse,
     lmmse_local_matrices,
-    lmmse_local_matrix,
     lsfd_weights,
     ltmmse_stage2,
     mmse_combiner,
@@ -53,8 +52,7 @@ def detection_mse(vectors, est, powers, sigma2):
 
 def empirical_pi(est, local, powers):
     cross = np.einsum("rlni,rlnj->lij", est.estimates.conj(), local) / est.n_draws
-    return PiSet(pi=cross * np.sqrt(powers)[None, :, None], se=np.zeros_like(cross, dtype=float),
-                 sample_count=est.n_draws)
+    return PiSet(pi=cross * np.sqrt(powers)[None, :, None], se=np.zeros_like(cross, dtype=float))
 
 
 def empirical_lsfd_moments(est, local, channels, plan):
@@ -68,8 +66,7 @@ def empirical_lsfd_moments(est, local, channels, plan):
         f.append(gains[:, :, k].mean(axis=0))
         G.append(np.einsum("rmi,rsi->ims", gains, gains.conj()) / R)
         S.append((np.abs(v_k) ** 2).sum(axis=2).mean(axis=0))
-    return LsfdMoments(clusters=tuple(plan.cluster_of_ue), mean_gain=tuple(f),
-                       second_moments=tuple(G), noise_power=tuple(S), sample_count=R)
+    return LsfdMoments(mean_gain=tuple(f), second_moments=tuple(G), noise_power=tuple(S))
 
 
 class TestMmseCombiner:
@@ -117,11 +114,12 @@ class TestLocalMatrix:
     def test_scalar_closed_form(self, rng):
         est = synthetic_estimates(rng, R=8, L=1, N=1, K=1)
         p, c, sigma2 = 0.7, 0.2, 0.15
-        z = np.array([[p * c]], dtype=complex)  # power-weighted error covariance
-        V = lmmse_local_matrix(est.estimates[:, 0], z, np.array([p]), sigma2)
+        z = np.array([[[p * c]]], dtype=complex)  # power-weighted error covariance
+        est = EstimateSet(estimates=est.estimates, z_matrices=z)
+        V = lmmse_local_matrices(est, make_plan([0], [[0]], powers=[p]), sigma2)
         h = est.estimates[:, 0, 0, 0]
         expected = np.sqrt(p) * h / (p * np.abs(h) ** 2 + p * c + sigma2)
-        np.testing.assert_allclose(V[:, 0, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(V[:, 0, 0, 0], expected, rtol=1e-12)
 
     def test_zero_estimates_give_zero_matrix(self):
         est = EstimateSet(
@@ -145,10 +143,8 @@ class TestLsfdWeights:
         f = np.array([0.9 + 0.1j, 0.0])
         G = np.zeros((1, 2, 2), dtype=complex)
         G[0] = np.outer(f, f.conj()) + np.diag([0.2, 0.0])
-        moments = LsfdMoments(
-            clusters=(np.array([0, 1]),), mean_gain=(f,), second_moments=(G,),
-            noise_power=(np.array([0.5, 0.4]),), sample_count=10,
-        )
+        moments = LsfdMoments(mean_gain=(f,), second_moments=(G,),
+                              noise_power=(np.array([0.5, 0.4]),))
         weights, flagged = lsfd_weights(moments, powers=np.array([1.0]), sigma2=0.3)
         assert flagged == ()
         assert abs(weights[0][1]) < 1e-14 * abs(weights[0][0])
@@ -157,10 +153,8 @@ class TestLsfdWeights:
         f = np.array([1.0 + 0j, 0.0])
         G = np.zeros((1, 2, 2), dtype=complex)
         G[0] = np.outer(f, f.conj())
-        moments = LsfdMoments(
-            clusters=(np.array([0, 1]),), mean_gain=(f,), second_moments=(G,),
-            noise_power=(np.array([0.0, 0.0]),), sample_count=10,
-        )
+        moments = LsfdMoments(mean_gain=(f,), second_moments=(G,),
+                              noise_power=(np.array([0.0, 0.0]),))
         weights, flagged = lsfd_weights(moments, powers=np.array([1.0]), sigma2=0.3)
         assert flagged == (0,)
         assert np.all(np.isfinite(weights[0]))
@@ -177,13 +171,8 @@ class TestLsfdWeights:
             G[i] = X @ X.conj().T
         G[k] += np.outer(f, f.conj())
         S = rng.uniform(0.2, 1.0, size=M)
-        moments = LsfdMoments(
-            clusters=(np.arange(M),) * K,
-            mean_gain=(f,) * K,
-            second_moments=(G,) * K,
-            noise_power=(S,) * K,
-            sample_count=100,
-        )
+        moments = LsfdMoments(mean_gain=(f,) * K, second_moments=(G,) * K,
+                              noise_power=(S,) * K)
 
         def sinr(a):
             num = powers[k] * abs(a.conj() @ f) ** 2
@@ -206,9 +195,9 @@ class TestPiEstimation:
         stats = make_stats(los, np.zeros((2, 1, 2, 2)), phases=[[0.4], [2.0]])
         plan = make_plan([0, 1], [[0], [0]], pilot_count=2)
         cfg = make_cfg(L=1, K=2, N=2, tau_p=2, sigma2=0.2)
-        pi = statistics_pass(stats, plan, cfg, 2, 3, need_pi=True, need_lsfd=False).pi
-
         est = PilotEstimator(stats, plan, cfg)
+        pi = statistics_pass(est, 2, 3, need_pi=True, need_lsfd=False).pi
+
         draws = sample_channels(stats, np.random.default_rng(0), 1)
         eset = est.estimate(draws, np.random.default_rng(1))
         local = lmmse_local_matrices(eset, plan, cfg.noise_power_w)
@@ -220,7 +209,8 @@ class TestPiEstimation:
         stats = make_stats(np.zeros((1, 1, 1)), 0.9 * np.ones((1, 1, 1, 1)))
         plan = make_plan([0], [[0]], powers=[0.8])
         cfg = make_cfg(L=1, K=1, N=1, tau_p=1, sigma2=0.1)
-        pi = statistics_pass(stats, plan, cfg, 400, 5, need_pi=True, need_lsfd=False).pi
+        pi = statistics_pass(PilotEstimator(stats, plan, cfg), 400, 5,
+                             need_pi=True, need_lsfd=False).pi
         value = pi.pi[0, 0, 0]
         assert abs(value.imag) < 1e-3
         assert 0.0 < value.real < 1.0
@@ -229,8 +219,9 @@ class TestPiEstimation:
         stats = make_stats(np.zeros((2, 1, 2)), np.tile(np.eye(2), (2, 1, 1, 1)))
         plan = make_plan([0, 0], [[0], [0]])
         cfg = make_cfg(L=1, K=2, N=2, tau_p=1, sigma2=0.3)
-        small = statistics_pass(stats, plan, cfg, 1000, 5, need_pi=True, need_lsfd=False).pi
-        large = statistics_pass(stats, plan, cfg, 4000, 6, need_pi=True, need_lsfd=False).pi
+        estimator = PilotEstimator(stats, plan, cfg)
+        small = statistics_pass(estimator, 1000, 5, need_pi=True, need_lsfd=False).pi
+        large = statistics_pass(estimator, 4000, 6, need_pi=True, need_lsfd=False).pi
         ratio = small.se.mean() / large.se.mean()
         assert 1.6 < ratio < 2.6  # budget x4 should halve the standard error
 
@@ -242,11 +233,12 @@ class TestLsfdMoments:
         stats = make_stats(los, np.zeros((2, 2, 2, 2)), phases=[[0.4, 1.3], [2.0, 0.2]])
         plan = make_plan([0, 1], [[0, 1], [1]], pilot_count=2)
         cfg = make_cfg(L=2, K=2, N=2, tau_p=2, sigma2=0.2)
-        moments = statistics_pass(stats, plan, cfg, 3, np.random.SeedSequence(8),
+        estimator = PilotEstimator(stats, plan, cfg)
+        moments = statistics_pass(estimator, 3, np.random.SeedSequence(8),
                                   need_pi=False, need_lsfd=True).lsfd
 
         draws = sample_channels(stats, np.random.default_rng(0), 1)
-        est = PilotEstimator(stats, plan, cfg).estimate(draws, np.random.default_rng(1))
+        est = estimator.estimate(draws, np.random.default_rng(1))
         local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
         exact = empirical_lsfd_moments(est, local, draws.true_channels, plan)
         for k in range(2):
@@ -258,15 +250,13 @@ class TestLsfdMoments:
 
 class TestStageTwo:
     def test_single_ap_cluster_returns_basis_vector(self, rng):
-        pi = PiSet(pi=rng.standard_normal((3, 4, 4)) + 0j, se=np.zeros((3, 4, 4)),
-                   sample_count=10)
+        pi = PiSet(pi=rng.standard_normal((3, 4, 4)) + 0j, se=np.zeros((3, 4, 4)))
         c, fallback = ltmmse_stage2(pi, np.array([1]), k=2)
         assert not fallback
         np.testing.assert_array_equal(c, np.eye(4)[None, 2])
 
     def test_zero_coupling_returns_basis_vectors(self):
-        pi = PiSet(pi=np.zeros((2, 3, 3), dtype=complex), se=np.zeros((2, 3, 3)),
-                   sample_count=10)
+        pi = PiSet(pi=np.zeros((2, 3, 3), dtype=complex), se=np.zeros((2, 3, 3)))
         c, fallback = ltmmse_stage2(pi, np.array([0, 1]), k=0)
         assert not fallback
         np.testing.assert_array_equal(c, np.tile(np.eye(3)[0], (2, 1)))
@@ -274,7 +264,7 @@ class TestStageTwo:
     def test_two_ap_system_matches_dense_solve(self, rng):
         K = 2
         pi_mats = 0.3 * (rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K)))
-        pi = PiSet(pi=pi_mats, se=np.zeros((2, K, K)), sample_count=10)
+        pi = PiSet(pi=pi_mats, se=np.zeros((2, K, K)))
         cluster = np.array([0, 1])
         c, fallback = ltmmse_stage2(pi, cluster, k=1)
         assert not fallback
@@ -305,10 +295,11 @@ class TestSchemeEquivalences:
     def test_pure_los_team_equals_centralized(self):
         cfg, plan, stats = build_instance(3, kappa_override=np.inf)
         draws = sample_channels(stats, np.random.default_rng(1), 1)
-        est = PilotEstimator(stats, plan, cfg).estimate(draws, np.random.default_rng(2))
+        estimator = PilotEstimator(stats, plan, cfg)
+        est = estimator.estimate(draws, np.random.default_rng(2))
         centralized = mmse_combiner(est, plan, cfg.noise_power_w)
 
-        model = statistics_pass(stats, plan, cfg, 2, np.random.SeedSequence(4),
+        model = statistics_pass(estimator, 2, np.random.SeedSequence(4),
                                 need_pi=True, need_lsfd=False)
         stage2, flagged = stage2_all(model.pi, plan)
         assert flagged == ()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cellfree_sim import channel
 from cellfree_sim.channel import (
     build_channel_stats,
     local_scattering_covariance,
@@ -10,7 +11,7 @@ from cellfree_sim.channel import (
     pair_geometry,
     sample_channels,
 )
-from cellfree_sim.errors import ConfigError
+from cellfree_sim.errors import ConfigError, NumericalError
 from cellfree_sim.scenario import AreaConfig, deploy, rician_factor
 
 SPREAD_5_DEG = np.radians(5.0)
@@ -31,7 +32,7 @@ class TestLosSignature:
         np.testing.assert_allclose(los_signature(0.0, 0.9, 8), np.ones(8), atol=1e-15)
 
     def test_endfire_alternates_sign(self):
-        got = los_signature(np.pi / 2, 0.0, 4, spacing_wavelengths=0.5)
+        got = los_signature(np.pi / 2, 0.0, 4)  # half-wavelength spacing
         np.testing.assert_allclose(got, [1, -1, 1, -1], atol=1e-12)
 
     def test_constant_phase_progression(self):
@@ -80,6 +81,12 @@ class TestScatteringCovariance:
         integrand = np.exp(2j * np.pi * 0.5 * 1 * np.sin(phi) * np.cos(theta))
         oracle = integrand.mean()
         assert abs(cov[1, 0] - oracle) < 5e-3
+
+    def test_non_converging_quadrature_raises(self, monkeypatch):
+        # with a single refinement level there is nothing to compare against
+        monkeypatch.setattr(channel, "QUAD_MAX_NODES", 16)
+        with pytest.raises(NumericalError, match="did not converge"):
+            local_scattering_covariance(0.4, 0.3, SPREAD_5_DEG, SPREAD_5_DEG, 4)
 
     def test_rejects_nonpositive_spread(self):
         with pytest.raises(ConfigError):
@@ -133,8 +140,7 @@ class TestBuildChannelStats:
         from cellfree_sim.channel import stats_from_geometry
 
         phases = np.random.default_rng(9).uniform(0, 2 * np.pi, size=dep.gains_db.shape)
-        beta = 10.0 ** (dep.gains_db / 10.0)
-        rebuilt = stats_from_geometry(geom, beta, rician_factor(dep.distances_3d), phases)
+        rebuilt = stats_from_geometry(geom, dep, phases)
         np.testing.assert_array_equal(direct.los_mean, rebuilt.los_mean)
         np.testing.assert_array_equal(direct.nlos_cov, rebuilt.nlos_cov)
 

@@ -133,8 +133,8 @@ class TestEstimates:
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
-        report = error_statistics_check(stats, plan, cfg, 30_000, np.random.default_rng(10),
-                                        min_draws=1000)
+        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 30_000,
+                                        np.random.default_rng(10), min_draws=1000)
         assert report.within(5.0), report
         # shared pilot signal induces visible estimate correlation
         assert report.copilot_pairs == ((0, 1),)
@@ -146,8 +146,8 @@ class TestEstimates:
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9), kappa_override=np.inf)
-        report = error_statistics_check(stats, plan, cfg, 2000, np.random.default_rng(10),
-                                        min_draws=1000)
+        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 2000,
+                                        np.random.default_rng(10), min_draws=1000)
         # the error and cross moments vanish identically; the mean deviation
         # is pure accumulation roundoff
         assert report.max_mean_dev_se < 1e-3
@@ -160,8 +160,8 @@ class TestEstimates:
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
-        report = error_statistics_check(stats, plan, cfg, 5000, np.random.default_rng(10),
-                                        min_draws=1000)
+        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 5000,
+                                        np.random.default_rng(10), min_draws=1000)
         assert report.within(5.0)
         assert report.copilot_pairs == ()
 
@@ -172,4 +172,4 @@ class TestEstimates:
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
         with pytest.raises(ConfigError):
-            error_statistics_check(stats, plan, cfg, 10, np.random.default_rng(0))
+            error_statistics_check(PilotEstimator(stats, plan, cfg), 10, np.random.default_rng(0))

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellfree_sim import experiments
 from cellfree_sim.channel import build_channel_stats
@@ -14,6 +16,9 @@ from cellfree_sim.cli import main
 from cellfree_sim.errors import ConfigError, NumericalError
 from cellfree_sim.experiments import (
     DEFAULT_SEED,
+    DESK_AREA_DEFAULTS,
+    EXPERIMENTS,
+    ExperimentConfig,
     _setup_reports,
     config_from_dict,
     parse_config,
@@ -49,6 +54,46 @@ def tiny_config(tmp_path, experiment="kappa_sweep", **overrides):
     }
     raw.update(overrides)
     return config_from_dict(raw)
+
+
+# JSON-like values: None, bools, integers (some beyond the float range),
+# floats including NaN and +-inf, short strings, nested lists and objects.
+HUGE_INT = 10**400
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 50),
+    st.integers(HUGE_INT, 2 * HUGE_INT) | st.integers(-2 * HUGE_INT, -HUGE_INT),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+fuzzed_area = st.dictionaries(st.sampled_from(sorted(DESK_AREA_DEFAULTS)) | st.text(max_size=4),
+                              json_values, max_size=4)
+fuzzed_d_grid = st.lists(
+    st.dictionaries(st.sampled_from(["d_m", "p_max_w"]) | st.text(max_size=4), json_values,
+                    max_size=3) | json_values,
+    max_size=3,
+)
+fuzzed_config = st.fixed_dictionaries({}, optional={
+    "experiment": st.sampled_from(EXPERIMENTS) | json_values,
+    "area": fuzzed_area | json_values,
+    "schemes": st.lists(st.sampled_from(["MMSE", "LMMSE_LSFD", "LTMMSE"]) | json_values,
+                        max_size=4) | json_values,
+    "pc_exponent": json_values,
+    "kappa_grid": st.lists(json_values, max_size=3) | json_values,
+    "d_grid": fuzzed_d_grid | json_values,
+    "setups": json_values,
+    "stat_budget": json_values,
+    "eval_budget": json_values,
+    "seed": json_values,
+    "out_dir": json_values,
+})
 
 
 def write_config(tmp_path, payload) -> str:
@@ -117,11 +162,33 @@ class TestParseConfig:
         pytest.param({"d_grid": [{"d_m": math.inf}]}, id="d_m-inf"),
         pytest.param({"kappa_grid": [True]}, id="kappa_grid-bool"),
         pytest.param({"area": {"ap_count": 2.5}}, id="ap_count-fractional"),
+        pytest.param({"d_grid": [{"d_m": "300"}]}, id="d_m-string"),
+        pytest.param({"d_grid": [{"d_m": True}]}, id="d_m-bool"),
+        pytest.param({"d_grid": [{"d_m": 300.0, "p_max_w": "0.01"}]}, id="p_max_w-string"),
+        pytest.param({"schemes": ["MMSE", "MMSE"]}, id="schemes-repeated"),
+        pytest.param({"kappa_grid": [HUGE_INT]}, id="kappa_grid-huge-int"),
+        pytest.param({"pc_exponent": HUGE_INT}, id="pc_exponent-huge-int"),
+        pytest.param({"area": {"side_length_m": HUGE_INT}}, id="side_length_m-huge-int"),
+        pytest.param({"d_grid": [{"d_m": HUGE_INT}]}, id="d_m-huge-int"),
+        pytest.param({"d_grid": ["ab"]}, id="d_grid-entry-not-object"),
     ])
     def test_malformed_values_raise_config_error(self, overrides):
         experiment = "density_sweep" if "d_grid" in overrides else "kappa_sweep"
         with pytest.raises(ConfigError):
             config_from_dict({"experiment": experiment, **overrides})
+
+    def test_non_object_d_grid_entry_is_named_in_the_message(self):
+        with pytest.raises(ConfigError, match="d_grid must be a list of objects"):
+            config_from_dict({"experiment": "density_sweep", "d_grid": ["ab"]})
+
+    @given(raw=fuzzed_config)
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_config_gives_config_or_config_error(self, raw):
+        try:
+            cfg = config_from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
 
 class TestSetupBuilder:
