@@ -33,6 +33,8 @@ from .scenario import ServicePlan
 # Draws per Monte Carlo chunk; chunk c always draws from substream(stream, c).
 CHUNK = 128
 MIN_STAT_DRAWS = 2
+# Draws per (draws, L, K, K) block of Pi cross terms in the statistics pass.
+PI_BLOCK = 8
 
 
 class Scheme(str, Enum):
@@ -71,21 +73,17 @@ def mmse_combiner(est: EstimateSet, plan: ServicePlan, sigma2: float) -> np.ndar
         cluster = plan.cluster_of_ue[k]
         M = len(cluster)
         Hc = est.estimates[:, cluster].reshape(R, M * N, K)
-        gram = np.einsum("rnk,k,rmk->rnm", Hc, plan.powers_w, Hc.conj())
-        system = gram + _block_diag(est.z_matrices[cluster]) + sigma2 * np.eye(M * N)
+        system = (Hc * plan.powers_w) @ Hc.conj().swapaxes(1, 2)
+        # error covariances on the diagonal (N, N) blocks, then the noise floor;
+        # in place, as reshaping the freshly allocated Gram returns views
+        same = np.arange(M)
+        system.reshape(R, M, N, M, N)[:, same, :, same] += est.z_matrices[cluster][:, None]
+        system.reshape(R, -1)[:, ::M * N + 1] += sigma2
         rhs = sqrt_p[k] * Hc[:, :, k]
         solution = np.linalg.solve(system, rhs[..., None])[..., 0]
         # mixed basic/advanced indexing puts the cluster axis first
         vectors[:, cluster, :, k] = solution.reshape(R, M, N).transpose(1, 0, 2)
     return vectors
-
-
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    M, N = blocks.shape[0], blocks.shape[1]
-    out = np.zeros((M * N, M * N), dtype=blocks.dtype)
-    for i in range(M):
-        out[i * N:(i + 1) * N, i * N:(i + 1) * N] = blocks[i]
-    return out
 
 
 def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan, sigma2: float) -> np.ndarray:
@@ -95,8 +93,9 @@ def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan, sigma2: float) -> 
     """
     H = est.estimates
     N = H.shape[-2]
-    gram = np.einsum("...nk,k,...mk->...nm", H, plan.powers_w, H.conj())
-    system = gram + est.z_matrices[None] + sigma2 * np.eye(N)
+    system = (H * plan.powers_w) @ H.conj().swapaxes(-1, -2)
+    system += est.z_matrices
+    system += sigma2 * np.eye(N)
     return np.linalg.solve(system, H * np.sqrt(plan.powers_w))
 
 
@@ -132,7 +131,8 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
     plan, sigma2 = estimator.plan, estimator.cfg.noise_power_w
     K, L, N = estimator.stats.los_mean.shape
     sqrt_p = np.sqrt(plan.powers_w)
-    # keep per-chunk scratch below ~32M complex entries
+    # chunks of at most ~32M (L, K, K) complex entries; the chunk size decides
+    # which substream feeds each draw, so changing this rule changes results
     chunk = max(1, min(CHUNK, int(3.2e7 / max(L * K * K, 1))))
 
     pi_sum = np.zeros((L, K, K), dtype=complex)
@@ -146,24 +146,29 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
         local = lmmse_local_matrices(est, plan, sigma2)
 
         if need_pi:
-            cross = np.einsum("rlni,rlnj->rlij", est.estimates.conj(), local)
-            cross *= sqrt_p[None, None, :, None]
-            pi_sum += cross.sum(axis=0)
-            pi_sumsq += (np.abs(cross) ** 2).sum(axis=0)
+            # cross[r, l, i, j] = sqrt(p_i) h_hat_li^H v_lj, PI_BLOCK draws at a time
+            scaled_h = (est.estimates.conj() * sqrt_p).swapaxes(-1, -2)
+            for start in range(0, len(local), PI_BLOCK):
+                block = slice(start, start + PI_BLOCK)
+                cross = scaled_h[block] @ local[block]
+                pi_sum += cross.sum(axis=0)
+                pi_sumsq += np.einsum("rlij,rlij->lij", cross.real, cross.real)
+                pi_sumsq += np.einsum("rlij,rlij->lij", cross.imag, cross.imag)
         if need_lsfd:
             H = draws.true_channels
             for k in range(K):
                 cluster = clusters[k]
-                v_k = local[:, cluster][:, :, :, k]              # (r, M, N)
-                gains = np.einsum("rmn,rmni->rmi", v_k.conj(), H[:, cluster])
+                v_k = local[..., k][:, cluster]                   # (r, M, N)
+                gains = (v_k.conj()[:, :, None, :] @ H[:, cluster])[:, :, 0, :]  # (r, M, K)
+                per_ue = np.ascontiguousarray(gains.transpose(2, 1, 0))        # (K, M, r)
                 f_sum[k] += gains[:, :, k].sum(axis=0)
-                g_sum[k] += np.einsum("rmi,rsi->ims", gains, gains.conj())
+                g_sum[k] += per_ue @ per_ue.conj().swapaxes(1, 2)
                 s_sum[k] += (np.abs(v_k) ** 2).sum(axis=(0, 2))
 
     pi = None
     if need_pi:
         mean = pi_sum / mc
-        variance = np.maximum(pi_sumsq / mc - np.abs(mean) ** 2, 0.0)
+        variance = np.maximum(pi_sumsq / mc - (mean.real ** 2 + mean.imag ** 2), 0.0)
         pi = PiSet(pi=mean, se=np.sqrt(variance / mc))
     lsfd = None
     if need_lsfd:
@@ -242,7 +247,7 @@ def assemble_ltmmse(local: np.ndarray, stage2_full: np.ndarray, plan: ServicePla
     `stage2_full` is (K, L, K) with zero rows for non-serving APs, so the
     produced vectors keep their support on the serving cluster.
     """
-    return np.einsum("rlnj,klj->rlnk", local, stage2_full)
+    return local @ stage2_full.transpose(1, 2, 0)
 
 
 def stage2_all(pi: PiSet, plan: ServicePlan) -> tuple[np.ndarray, tuple[int, ...]]:

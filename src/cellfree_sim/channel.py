@@ -254,7 +254,6 @@ def sample_channels(stats: ChannelStats, rng: np.random.Generator, n_draws: int 
     K, L, N = stats.los_mean.shape
     z = rng.standard_normal((n_draws, K, L, N)) + 1j * rng.standard_normal((n_draws, K, L, N))
     z *= np.sqrt(0.5)
-    scattered = np.einsum("klnm,rklm->rkln", stats.cov_factor, z)
-    phased = stats.los_mean * np.exp(1j * stats.los_phase)[:, :, None]
-    channels = phased[None, :, :, :] + scattered
-    return ChannelDraw(true_channels=np.ascontiguousarray(channels.transpose(0, 2, 3, 1)))
+    channels = stats.cov_factor @ z.transpose(1, 2, 3, 0)    # (K, L, N, draws)
+    channels += (stats.los_mean * np.exp(1j * stats.los_phase)[:, :, None])[..., None]
+    return ChannelDraw(true_channels=np.ascontiguousarray(channels.transpose(3, 1, 2, 0)))

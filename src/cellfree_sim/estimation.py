@@ -100,17 +100,18 @@ class PilotEstimator:
         tau_p = self.plan.pilot_count
         sigma2 = self.cfg.noise_power_w
 
-        received = np.einsum("rlni,it->rtln", H, self._pilot_coef)
+        received = (H.reshape(-1, K) @ self._pilot_coef).reshape(R, L, N, tau_p)
         noise_scale = np.sqrt(0.5 * sigma2 * tau_p)
         noise = noise_scale * (
             rng.standard_normal((R, tau_p, L, N)) + 1j * rng.standard_normal((R, tau_p, L, N))
         )
-        mean_received = np.einsum("lni,it->tln", self._phased_mean, self._pilot_coef)
-        innovation = received + noise - mean_received[None]
+        mean_received = self._phased_mean @ self._pilot_coef   # (L, N, tau_p)
+        innovation = received + noise.transpose(0, 2, 3, 1) - mean_received
 
-        per_ue = innovation[:, self.plan.pilot_of_ue]     # (R, K, L, N)
-        update = np.einsum("klnm,rklm->rlnk", self.gain, per_ue)
-        estimates = self._phased_mean[None] + update
+        per_ue = innovation[..., self.plan.pilot_of_ue]   # (R, L, N, K)
+        estimates = self.gain @ per_ue.transpose(3, 1, 2, 0)  # (K, L, N, R)
+        estimates += self._phased_mean.transpose(2, 0, 1)[..., None]
+        estimates = np.ascontiguousarray(estimates.transpose(3, 1, 2, 0))
         return EstimateSet(estimates=estimates, z_matrices=self.z_matrices)
 
 

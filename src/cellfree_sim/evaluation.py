@@ -209,6 +209,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
 
     eval_seq = subsequence(stream, ROLE_EVALUATION)
     for draws, est in estimated_draws(estimator, budgets.eval_draws, CHUNK, eval_seq):
+        R, L, N, K = est.estimates.shape
         local = lmmse_local_matrices(est, plan, sigma2) if need_local else None
 
         for scheme in schemes:
@@ -218,11 +219,12 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
                 v = assemble_lmmse_lsfd(local, weights, plan)
             else:
                 v = assemble_ltmmse(local, stage2_full, plan)
-            gains[scheme].append(np.einsum("rlnk,rlni->rki", v.conj(), draws.true_channels))
-            est_gains[scheme].append(np.einsum("rlnk,rlni->rki", v.conj(), est.estimates))
-            quads[scheme].append(
-                np.einsum("rlnk,lnm,rlmk->rk", v.conj(), est.z_matrices, v).real
-            )
+            # gains[r, k, i] = v_k^H h_i over all L*N antennas
+            v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
+            gains[scheme].append(v_h @ draws.true_channels.reshape(R, L * N, K))
+            est_gains[scheme].append(v_h @ est.estimates.reshape(R, L * N, K))
+            z_v = est.z_matrices @ v                       # Z_l v_lk per AP
+            quads[scheme].append(np.sum(v.real * z_v.real + v.imag * z_v.imag, axis=(1, 2)))
             vnorms[scheme].append(np.sum(np.abs(v) ** 2, axis=(1, 2)))
 
     reports = {}

@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .evaluation import MonteCarloBudgets, SeReport, evaluate_schemes
 from .rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
 from .scenario import AreaConfig, apply_power_control, assign_pilots_and_clusters, deploy
-from .scenario import is_integer, is_number
+from .scenario import MAX_COUNT, is_integer, is_number
 
 log = logging.getLogger(__name__)
 
@@ -219,13 +219,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         problems.append("d_grid must not be empty for density_sweep")
 
     setups = raw.get("setups", 10)
-    if not is_integer(setups) or setups < 1:
-        problems.append("setups must be an integer >= 1")
+    if not is_integer(setups) or not 1 <= setups <= MAX_COUNT:
+        problems.append(f"setups must be an integer in [1, {MAX_COUNT}]")
     stat_budget = raw.get("stat_budget", 300)
     eval_budget = raw.get("eval_budget", 300)
     for name, value in (("stat_budget", stat_budget), ("eval_budget", eval_budget)):
-        if not is_integer(value) or value < 2:
-            problems.append(f"{name} must be an integer >= 2")
+        if not is_integer(value) or not 2 <= value <= MAX_COUNT:
+            problems.append(f"{name} must be an integer in [2, {MAX_COUNT}]")
     seed = raw.get("seed", DEFAULT_SEED)
     if not is_integer(seed) or seed < 0:
         problems.append("seed must be a nonnegative integer")

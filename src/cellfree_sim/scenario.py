@@ -23,6 +23,9 @@ from .errors import ConfigError
 # Offsets of the 9 mirror copies used to emulate an infinite service area.
 _WRAP_SHIFTS = np.array([(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
 _COUNT_FIELDS = ("ap_count", "ue_count", "antennas_per_ap", "pilot_count", "coherence_symbols")
+# Every count in a config stays within the int32 range; larger values would
+# otherwise fail deep inside numpy instead of at validation.
+MAX_COUNT = 2**31 - 1
 
 
 def is_integer(value) -> bool:
@@ -63,8 +66,8 @@ class AreaConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in _COUNT_FIELDS:
-                if not is_integer(value) or value < 1:
-                    problems.append(f"{f.name} must be an integer >= 1")
+                if not is_integer(value) or not 1 <= value <= MAX_COUNT:
+                    problems.append(f"{f.name} must be an integer in [1, {MAX_COUNT}]")
             elif not (is_number(value) and math.isfinite(value)):
                 problems.append(f"{f.name} must be a finite number")
         if problems:  # the checks below compare values, so they need numbers

@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from cellfree_sim.beamforming import Scheme
+from cellfree_sim.beamforming import (
+    CHUNK,
+    Scheme,
+    assemble_lmmse_lsfd,
+    assemble_ltmmse,
+    estimated_draws,
+    lmmse_local_matrices,
+    lsfd_weights,
+    mmse_combiner,
+    stage2_all,
+    statistics_pass,
+)
 from cellfree_sim.errors import ConfigError
+from cellfree_sim.estimation import PilotEstimator
 from cellfree_sim.evaluation import (
     MonteCarloBudgets,
     _uatf_from_moments,
@@ -12,6 +24,7 @@ from cellfree_sim.evaluation import (
     evaluate_schemes,
     uatf_se,
 )
+from cellfree_sim.rng import ROLE_EVALUATION, ROLE_STATISTICS, subsequence
 
 from conftest import build_instance
 
@@ -160,6 +173,57 @@ class TestEngine:
         tol_bot = 1.96 * np.sqrt(lt.uatf.ci**2 + lsfd.uatf.ci**2)
         assert np.all(mmse.uatf.se >= lt.uatf.se - tol_top)
         assert np.all(lt.uatf.se >= lsfd.uatf.se - tol_bot)
+
+    def test_reported_moments_match_a_per_draw_hand_loop(self):
+        # every combined gain, error quadratic and combiner norm recomputed
+        # with np.vdot per (draw, UE k, UE i) on the same draw streams
+        cfg, plan, stats = build_instance(3)
+        budgets = MonteCarloBudgets(stat_draws=30, eval_draws=CHUNK + 22)
+        stream = 41
+        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), budgets, stream)
+
+        sigma2, p = cfg.noise_power_w, plan.powers_w
+        prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
+        estimator = PilotEstimator(stats, plan, cfg)
+        model = statistics_pass(estimator, budgets.stat_draws,
+                                subsequence(stream, ROLE_STATISTICS), need_pi=True, need_lsfd=True)
+        weights, _ = lsfd_weights(model.lsfd, p, sigma2)
+        stage2, _ = stage2_all(model.pi, plan)
+
+        K = len(p)
+        per_draw = {s: {"gain": [], "est_gain": [], "quad": [], "vnorm2": []} for s in Scheme}
+        eval_seq = subsequence(stream, ROLE_EVALUATION)
+        for draws, est in estimated_draws(estimator, budgets.eval_draws, CHUNK, eval_seq):
+            local = lmmse_local_matrices(est, plan, sigma2)
+            combiners = {
+                Scheme.MMSE: mmse_combiner(est, plan, sigma2),
+                Scheme.LMMSE_LSFD: assemble_lmmse_lsfd(local, weights, plan),
+                Scheme.LTMMSE: assemble_ltmmse(local, stage2, plan),
+            }
+            for scheme, v in combiners.items():
+                for r in range(est.n_draws):
+                    vr, hr, hhat = v[r], draws.true_channels[r], est.estimates[r]
+                    per_draw[scheme]["gain"].append(
+                        [[np.vdot(vr[..., k], hr[..., i]) for i in range(K)] for k in range(K)])
+                    per_draw[scheme]["est_gain"].append(
+                        [[np.vdot(vr[..., k], hhat[..., i]) for i in range(K)] for k in range(K)])
+                    per_draw[scheme]["quad"].append(
+                        [sum(np.vdot(vr[l, :, k], est.z_matrices[l] @ vr[l, :, k]).real
+                             for l in range(vr.shape[0])) for k in range(K)])
+                    per_draw[scheme]["vnorm2"].append(
+                        [np.vdot(vr[..., k], vr[..., k]).real for k in range(K)])
+
+        for scheme, rep in reports.items():
+            gain, est_gain, quad, vnorm2 = (np.array(per_draw[scheme][name]) for name in
+                                            ("gain", "est_gain", "quad", "vnorm2"))
+            assert gain.shape == (budgets.eval_draws, K, K)
+            own_mean = np.array([gain[:, k, k].mean() for k in range(K)])
+            np.testing.assert_allclose(rep.uatf_signal, p * np.abs(own_mean) ** 2, rtol=1e-12)
+            np.testing.assert_allclose(rep.uatf_interference,
+                                       (np.abs(gain) ** 2).mean(axis=0) @ p, rtol=1e-12)
+            np.testing.assert_allclose(rep.uatf_noise, sigma2 * vnorm2.mean(axis=0), rtol=1e-12)
+            cd = cd_se(est_gain, quad, vnorm2, p, sigma2, prelog)
+            np.testing.assert_allclose(rep.cd.se, cd.se, rtol=1e-12)
 
     def test_budget_guard(self):
         cfg, plan, stats = build_instance(4)

@@ -29,7 +29,7 @@ from cellfree_sim.experiments import (
     write_csv,
 )
 from cellfree_sim.rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
-from cellfree_sim.scenario import deploy
+from cellfree_sim.scenario import _COUNT_FIELDS, MAX_COUNT, deploy
 
 TINY_AREA = {
     "side_length_m": 350.0,
@@ -56,13 +56,15 @@ def tiny_config(tmp_path, experiment="kappa_sweep", **overrides):
     return config_from_dict(raw)
 
 
-# JSON-like values: None, bools, integers (some beyond the float range),
-# floats including NaN and +-inf, short strings, nested lists and objects.
+# JSON-like values: None, bools, integers (some beyond the largest count,
+# some beyond the float range), floats including NaN and +-inf, short strings,
+# nested lists and objects.
 HUGE_INT = 10**400
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-5, 50),
+    st.integers(MAX_COUNT - 1, 2**64),
     st.integers(HUGE_INT, 2 * HUGE_INT) | st.integers(-2 * HUGE_INT, -HUGE_INT),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
@@ -171,6 +173,11 @@ class TestParseConfig:
         pytest.param({"area": {"side_length_m": HUGE_INT}}, id="side_length_m-huge-int"),
         pytest.param({"d_grid": [{"d_m": HUGE_INT}]}, id="d_m-huge-int"),
         pytest.param({"d_grid": ["ab"]}, id="d_grid-entry-not-object"),
+        pytest.param({"area": {"ap_count": HUGE_INT}}, id="ap_count-huge-int"),
+        pytest.param({"area": {"ue_count": MAX_COUNT + 1}}, id="ue_count-above-max-count"),
+        pytest.param({"setups": MAX_COUNT + 1}, id="setups-above-max-count"),
+        pytest.param({"stat_budget": HUGE_INT}, id="stat_budget-huge-int"),
+        pytest.param({"eval_budget": MAX_COUNT + 1}, id="eval_budget-above-max-count"),
     ])
     def test_malformed_values_raise_config_error(self, overrides):
         experiment = "density_sweep" if "d_grid" in overrides else "kappa_sweep"
@@ -189,6 +196,9 @@ class TestParseConfig:
         except ConfigError:
             return
         assert isinstance(cfg, ExperimentConfig)
+        counts = [cfg.setups, cfg.stat_budget, cfg.eval_budget,
+                  *(getattr(cfg.area, name) for name in _COUNT_FIELDS)]
+        assert all(count <= MAX_COUNT for count in counts)
 
 
 class TestSetupBuilder:
@@ -360,6 +370,12 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["--config", write_config(tmp_path, "{}")]) == 2
         assert main(["--config", str(tmp_path / "missing.json")]) == 2
+
+    def test_huge_count_exits_with_config_error(self, tmp_path, capsys):
+        payload = {"experiment": "cdf", "area": {**TINY_AREA, "ap_count": HUGE_INT},
+                   "setups": 1, "out_dir": str(tmp_path / "r")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert "ap_count" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch):
         payload = {"experiment": "cdf", "area": TINY_AREA, "setups": 1,
