@@ -36,10 +36,7 @@ from .experiments import (
     ExperimentConfig,
     ResultRow,
     parse_config,
-    run_cdf,
-    run_density_sweep,
     run_experiment,
-    run_kappa_sweep,
 )
 from .scenario import (
     AreaConfig,

@@ -105,15 +105,15 @@ class StatisticalModel:
     lsfd: LsfdMoments | None
 
 
-def estimated_draws(estimator: PilotEstimator, total: int, chunk: int, stream):
-    """Yield `(draws, estimates)` for `total` draws, `chunk` draws at a time.
+def estimated_draws(estimator: PilotEstimator, total: int, stream):
+    """Yield `(draws, estimates)` for `total` draws, `CHUNK` draws at a time.
 
     Chunk c takes its channels and its pilot noise from `substream(stream, c)`,
     so every draw depends only on its index, never on how work is scheduled.
     """
-    for c, start in enumerate(range(0, total, chunk)):
+    for c, start in enumerate(range(0, total, CHUNK)):
         gen = substream(stream, c)
-        draws = sample_channels(estimator.stats, gen, min(chunk, total - start))
+        draws = sample_channels(estimator.stats, gen, min(CHUNK, total - start))
         yield draws, estimator.estimate(draws, gen)
 
 
@@ -131,9 +131,6 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
     plan, sigma2 = estimator.plan, estimator.cfg.noise_power_w
     K, L, N = estimator.stats.los_mean.shape
     sqrt_p = np.sqrt(plan.powers_w)
-    # chunks of at most ~32M (L, K, K) complex entries; the chunk size decides
-    # which substream feeds each draw, so changing this rule changes results
-    chunk = max(1, min(CHUNK, int(3.2e7 / max(L * K * K, 1))))
 
     pi_sum = np.zeros((L, K, K), dtype=complex)
     pi_sumsq = np.zeros((L, K, K))
@@ -142,7 +139,7 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
     g_sum = [np.zeros((K, len(c), len(c)), dtype=complex) for c in clusters]
     s_sum = [np.zeros(len(c)) for c in clusters]
 
-    for draws, est in estimated_draws(estimator, mc, chunk, stream):
+    for draws, est in estimated_draws(estimator, mc, stream):
         local = lmmse_local_matrices(est, plan, sigma2)
 
         if need_pi:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import (
-    CHUNK,
     Scheme,
     assemble_lmmse_lsfd,
     assemble_ltmmse,
@@ -208,7 +207,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     vnorms = {s: [] for s in schemes}
 
     eval_seq = subsequence(stream, ROLE_EVALUATION)
-    for draws, est in estimated_draws(estimator, budgets.eval_draws, CHUNK, eval_seq):
+    for draws, est in estimated_draws(estimator, budgets.eval_draws, eval_seq):
         R, L, N, K = est.estimates.shape
         local = lmmse_local_matrices(est, plan, sigma2) if need_local else None
 

@@ -1,9 +1,10 @@
-"""Experiment drivers: Rician-factor sweep, density sweep, per-user SE CDF.
+"""Experiments: Rician-factor sweep, density sweep, per-user SE CDF.
 
-Each experiment runs a number of independent network setups, evaluates the
-configured schemes on shared draws, and writes one CSV per experiment. Rows
-are fully deterministic for a given config and seed (the CSV carries a
-timestamped comment line that should be skipped when comparing outputs).
+One driver, `run_experiment`, expands a config into grid points, runs a
+number of independent network setups at each, evaluates the configured
+schemes on shared draws, and writes one CSV per experiment. Rows are fully
+deterministic for a given config and seed (the CSV carries a timestamped
+comment line that should be skipped when comparing outputs).
 
 CSV schema:
     experiment,setup,sweep,scheme,bound,ue,se,ci,stat_draws,eval_draws,seed
@@ -293,90 +294,67 @@ def _report_rows(cfg: ExperimentConfig, setup: int, sweep: float,
     return rows
 
 
-def _run_setups(tasks, threads: int):
-    """Run callables over a thread pool, preserving task order in the output."""
-    if threads <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+def _grid(cfg: ExperimentConfig) -> list[tuple[AreaConfig, list[tuple[float, float | None]]]]:
+    """Grid points grouped by the area they run on: `[(area, [(sweep, kappa), ...])]`.
 
-
-def run_kappa_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[ResultRow], Path]:
-    """Sweep a common Rician-factor override over all pairs.
-
-    Every setup reuses its deployment and phases across the grid, so scheme
-    and grid-point comparisons are paired.
+    A kappa of `None` means the distance law. The kappa sweep overrides the
+    Rician factor on one area, so every grid point of a setup shares its
+    deployment and geometry (paired comparisons). The density sweep scales
+    the area with p_max proportional to d, keeping the pilot/data power
+    ratio. The cdf experiment has one point.
     """
-    per_setup = _run_setups(
-        [lambda s=s: _setup_reports(cfg, cfg.area, s, cfg.kappa_grid) for s in range(cfg.setups)],
-        threads,
-    )
-    rows = []
-    for g, kappa in enumerate(cfg.kappa_grid):
-        for setup in range(cfg.setups):
-            rows.extend(_report_rows(cfg, setup, float(kappa), per_setup[setup][g]))
-    return rows, write_csv(cfg, rows)
+    if cfg.experiment == "kappa_sweep":
+        return [(cfg.area, [(float(kappa), kappa) for kappa in cfg.kappa_grid])]
+    if cfg.experiment == "density_sweep":
+        pilot_ratio = cfg.area.pilot_power_w / cfg.area.p_max_w
+        return [(dataclasses.replace(cfg.area, side_length_m=d, p_max_w=p_max,
+                                     pilot_power_w=pilot_ratio * p_max), [(float(d), None)])
+                for d, p_max in cfg.d_grid]
+    if cfg.experiment == "cdf":
+        return [(cfg.area, [(0.0, None)])]
+    raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
 
 
-def run_density_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[ResultRow], Path]:
-    """Sweep the service-area side length with proportionally scaled p_max.
-
-    Rician factors follow the distance law at every density point.
-    """
-    grid = list(cfg.d_grid)
-
-    pilot_ratio = cfg.area.pilot_power_w / cfg.area.p_max_w
-
-    def one(setup: int, d: float, p_max: float):
-        area = dataclasses.replace(cfg.area, side_length_m=d, p_max_w=p_max,
-                                   pilot_power_w=pilot_ratio * p_max)
-        return _setup_reports(cfg, area, setup)[0]
-
-    tasks = [lambda s=s, d=d, p=p: one(s, d, p) for (d, p) in grid for s in range(cfg.setups)]
-    results = _run_setups(tasks, threads)
-    rows = []
-    idx = 0
-    for d, _ in grid:
-        for setup in range(cfg.setups):
-            rows.extend(_report_rows(cfg, setup, float(d), results[idx]))
-            idx += 1
-    return rows, write_csv(cfg, rows)
-
-
-def run_cdf(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[ResultRow], Path]:
-    """Pool per-UE SEs across setups and emit them sorted with empirical CDF
-    coordinates in the sweep column."""
-    per_setup = _run_setups(
-        [lambda s=s: _setup_reports(cfg, cfg.area, s)[0] for s in range(cfg.setups)], threads
-    )
-    rows = []
-    for scheme in cfg.schemes:
-        for bound in ("uatf", "cd"):
-            samples = []
-            for setup in range(cfg.setups):
-                rep = per_setup[setup][scheme]
-                est = rep.uatf if bound == "uatf" else rep.cd
-                for k in range(len(est.se)):
-                    samples.append((float(est.se[k]), setup, k, float(est.ci[k]), rep))
-            samples.sort(key=lambda t: (t[0], t[1], t[2]))
-            n = len(samples)
-            for rank, (se, setup, k, ci, rep) in enumerate(samples, start=1):
-                rows.append(ResultRow(
-                    experiment=cfg.experiment, setup=setup, sweep=rank / n, scheme=scheme,
-                    bound=bound, ue=str(k), se=se, ci=ci,
-                    stat_draws=rep.stat_draw_count, eval_draws=rep.draw_count, seed=cfg.seed,
-                ))
-    return rows, write_csv(cfg, rows)
+def _cdf_rows(rows: list[ResultRow]) -> list[ResultRow]:
+    """Pool the per-UE rows of all setups per (scheme, bound) and emit them
+    sorted, with empirical CDF coordinates in the sweep column."""
+    samples: dict[tuple[Scheme, str], list[ResultRow]] = {}
+    for row in rows:
+        if row.ue not in ("min", "sum"):
+            samples.setdefault((row.scheme, row.bound), []).append(row)
+    pooled = []
+    for sample in samples.values():
+        sample.sort(key=lambda r: (r.se, r.setup, int(r.ue)))
+        pooled.extend(dataclasses.replace(row, sweep=rank / len(sample))
+                      for rank, row in enumerate(sample, start=1))
+    return pooled
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[ResultRow], Path]:
-    runner = {
-        "kappa_sweep": run_kappa_sweep,
-        "density_sweep": run_density_sweep,
-        "cdf": run_cdf,
-    }[cfg.experiment]
-    return runner(cfg, threads=threads)
+    """Run every (area, setup) of the experiment's grid and write its CSV.
+
+    Tasks run on `min(threads, tasks)` workers, serially when that is 1;
+    rows come out point by point, setups in order, whatever the scheduling.
+    """
+    grid = _grid(cfg)
+    tasks = [(area, setup, [kappa for _, kappa in points])
+             for area, points in grid for setup in range(cfg.setups)]
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        results = [_setup_reports(cfg, *task) for task in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda task: _setup_reports(cfg, *task), tasks))
+
+    rows = []
+    for g, (_, points) in enumerate(grid):
+        per_setup = results[g * cfg.setups:(g + 1) * cfg.setups]
+        for i, (sweep, _) in enumerate(points):
+            for setup, reports in enumerate(per_setup):
+                rows.extend(_report_rows(cfg, setup, sweep, reports[i]))
+    if cfg.experiment == "cdf":
+        rows = _cdf_rows(rows)
+    return rows, write_csv(cfg, rows)
 
 
 def write_csv(cfg: ExperimentConfig, rows: list[ResultRow]) -> Path:

@@ -2,11 +2,11 @@
 
     PYTHONPATH=src python tests/make_golden.py
 
-Runs a small kappa sweep (1 setup, kappa 0 and 20) and a small CDF
-experiment (2 setups) on the default desk area with a fixed seed and 100+100
-draws, and stores each result CSV without its timestamp line under
-tests/data/. Only regenerate them for a change that is meant to alter the
-simulator's numbers, and say so.
+Runs a small kappa sweep (1 setup, kappa 0 and 20), a small density sweep
+(1 setup, d 300 and 1000 m) and a small CDF experiment (2 setups) on the
+default desk area with a fixed seed and 100+100 draws, and stores each
+result CSV without its timestamp line under tests/data/. Only regenerate them
+for a change that is meant to alter the simulator's numbers, and say so.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ BUDGETS = {"stat_budget": 100, "eval_budget": 100, "seed": SEED}
 GOLDEN_CONFIGS = {
     "golden_kappa_sweep.csv": {"experiment": "kappa_sweep", "setups": 1,
                                "kappa_grid": [0.0, 20.0], **BUDGETS},
+    "golden_density_sweep.csv": {"experiment": "density_sweep", "setups": 1,
+                                 "d_grid": [{"d_m": 300.0}, {"d_m": 1000.0}], **BUDGETS},
     "golden_cdf.csv": {"experiment": "cdf", "setups": 2, **BUDGETS},
 }
 

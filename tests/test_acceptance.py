@@ -23,7 +23,7 @@ from cellfree_sim.beamforming import (
 from cellfree_sim.channel import pair_geometry, sample_channels
 from cellfree_sim.estimation import PilotEstimator, error_statistics_check
 from cellfree_sim.evaluation import MonteCarloBudgets, evaluate_schemes
-from cellfree_sim.experiments import config_from_dict, run_density_sweep, run_kappa_sweep
+from cellfree_sim.experiments import config_from_dict, run_experiment
 from cellfree_sim.scenario import assign_pilots_and_clusters, deploy
 
 PASS = "ACCEPTANCE {}: PASS ({:.1f} s) - {}"
@@ -62,7 +62,7 @@ def kappa_sweep_rows():
         "out_dir": "/tmp/cellfree_acceptance/kappa",
     })
     start = time.time()
-    rows, _ = run_kappa_sweep(cfg, threads=1)
+    rows, _ = run_experiment(cfg, threads=1)
     return cfg, rows, time.time() - start
 
 
@@ -180,7 +180,7 @@ def test_criterion_5_density_trend():
         "seed": 42,
         "out_dir": "/tmp/cellfree_acceptance/density",
     })
-    rows, _ = run_density_sweep(cfg, threads=1)
+    rows, _ = run_experiment(cfg, threads=1)
     table = min_se_rows(rows)
 
     def rel_gap(d):

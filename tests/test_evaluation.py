@@ -193,7 +193,7 @@ class TestEngine:
         K = len(p)
         per_draw = {s: {"gain": [], "est_gain": [], "quad": [], "vnorm2": []} for s in Scheme}
         eval_seq = subsequence(stream, ROLE_EVALUATION)
-        for draws, est in estimated_draws(estimator, budgets.eval_draws, CHUNK, eval_seq):
+        for draws, est in estimated_draws(estimator, budgets.eval_draws, eval_seq):
             local = lmmse_local_matrices(est, plan, sigma2)
             combiners = {
                 Scheme.MMSE: mmse_combiner(est, plan, sigma2),

@@ -22,10 +22,7 @@ from cellfree_sim.experiments import (
     _setup_reports,
     config_from_dict,
     parse_config,
-    run_cdf,
-    run_density_sweep,
     run_experiment,
-    run_kappa_sweep,
     write_csv,
 )
 from cellfree_sim.rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
@@ -218,10 +215,59 @@ class TestSetupBuilder:
                                           getattr(direct, field.name), err_msg=field.name)
 
 
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records `max_workers`, runs tasks inline."""
+
+    def __init__(self, created, max_workers):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestRunExperiment:
+    def test_unknown_experiment_raises_config_error_naming_it(self, tmp_path, monkeypatch):
+        cfg = dataclasses.replace(tiny_config(tmp_path, experiment="cdf"), experiment="bogus")
+        deployed = []
+        monkeypatch.setattr(experiments, "deploy", lambda *args: deployed.append(args))
+        with pytest.raises(ConfigError, match="'bogus'"):
+            run_experiment(cfg)
+        assert deployed == []
+        assert not cfg.out_dir.exists()
+
+    @pytest.mark.parametrize("threads, pools", [(64, [2]), (2, [2]), (1, [])])
+    def test_workers_are_capped_at_the_task_count(self, tmp_path, monkeypatch, threads, pools):
+        created = []
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor",
+                            lambda max_workers: RecordingPool(created, max_workers))
+        cfg = tiny_config(tmp_path, kappa_grid=[1.0])  # 2 setups: 2 tasks
+        rows, _ = run_experiment(cfg, threads=threads)
+        assert created == pools
+        assert len(rows) == cfg.setups * len(cfg.schemes) * 2 * (cfg.area.ue_count + 2)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_first_setup_does_not_depend_on_the_setup_count(self, tmp_path, experiment):
+        one, _ = run_experiment(tiny_config(tmp_path, experiment=experiment, setups=1))
+        three, _ = run_experiment(tiny_config(tmp_path, experiment=experiment, setups=3))
+        first = [row for row in three if row.setup == 0]
+        if experiment == "cdf":
+            # the CDF coordinates depend on the pooled sample size
+            def key(row):
+                return (row.scheme, row.bound, row.ue, row.se, row.ci)
+            one, first = [key(row) for row in one], [key(row) for row in first]
+        assert first == one
+
+
 class TestCsvContract:
     def test_row_count_and_schema(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        rows, path = run_kappa_sweep(cfg)
+        rows, path = run_experiment(cfg)
         K = cfg.area.ue_count
         expected = len(cfg.kappa_grid) * cfg.setups * len(cfg.schemes) * 2 * (K + 2)
         assert len(rows) == expected
@@ -233,7 +279,7 @@ class TestCsvContract:
 
     def test_aggregates_recompute_from_per_ue_rows(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        rows, _ = run_kappa_sweep(cfg)
+        rows, _ = run_experiment(cfg)
         groups = {}
         for row in rows:
             groups.setdefault((row.sweep, row.setup, row.scheme, row.bound), []).append(row)
@@ -246,26 +292,26 @@ class TestCsvContract:
 
     def test_rerun_is_byte_identical_apart_from_timestamp(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        _, path_a = run_kappa_sweep(cfg)
+        _, path_a = run_experiment(cfg)
         body_a = path_a.read_text().splitlines()[1:]
-        _, path_b = run_kappa_sweep(cfg)
+        _, path_b = run_experiment(cfg)
         body_b = path_b.read_text().splitlines()[1:]
         assert body_a == body_b
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        rows_1, path = run_kappa_sweep(cfg, threads=1)
+        rows_1, path = run_experiment(cfg, threads=1)
         body_1 = path.read_text().splitlines()[1:]
-        rows_2, path = run_kappa_sweep(cfg, threads=2)
+        rows_2, path = run_experiment(cfg, threads=2)
         body_2 = path.read_text().splitlines()[1:]
-        rows_4, path = run_kappa_sweep(cfg, threads=4)
+        rows_4, path = run_experiment(cfg, threads=4)
         body_4 = path.read_text().splitlines()[1:]
         assert body_1 == body_2 == body_4
         assert rows_1 == rows_2 == rows_4
 
     def test_float_serialization_keeps_17_significant_digits(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        rows, path = run_kappa_sweep(cfg)
+        rows, path = run_experiment(cfg)
         line = path.read_text().splitlines()[2].split(",")
         assert float(line[6]) == rows[0].se  # round-trips exactly
 
@@ -273,7 +319,7 @@ class TestCsvContract:
 class TestDensitySweep:
     def test_rows_cover_grid_and_power_pairing(self, tmp_path):
         cfg = tiny_config(tmp_path, experiment="density_sweep", setups=1)
-        rows, _ = run_density_sweep(cfg)
+        rows, _ = run_experiment(cfg)
         assert sorted({row.sweep for row in rows}) == [250.0, 1000.0]
         # default pairing: p_max proportional to d
         paired = dict(cfg.d_grid)
@@ -290,8 +336,8 @@ class TestCrossExperimentConsistency:
         dens = tiny_config(tmp_path, experiment="density_sweep",
                            d_grid=[{"d_m": 1000.0, "p_max_w": 0.1}], **common)
         cdf = tiny_config(tmp_path, experiment="cdf", **common)
-        dens_rows, _ = run_density_sweep(dens)
-        cdf_rows, _ = run_cdf(cdf)
+        dens_rows, _ = run_experiment(dens)
+        cdf_rows, _ = run_experiment(cdf)
 
         def per_ue(rows):
             return sorted((r.scheme.value, r.bound, r.setup, r.ue, r.se)
@@ -303,7 +349,7 @@ class TestCrossExperimentConsistency:
 class TestCdfExperiment:
     def test_cdf_coordinates_and_sample_counts(self, tmp_path):
         cfg = tiny_config(tmp_path, experiment="cdf", setups=3)
-        rows, _ = run_cdf(cfg)
+        rows, _ = run_experiment(cfg)
         K = cfg.area.ue_count
         for scheme in cfg.schemes:
             for bound in ("uatf", "cd"):
@@ -318,7 +364,7 @@ class TestCdfExperiment:
     def test_centralized_curve_dominates_local_curve(self, tmp_path):
         cfg = tiny_config(tmp_path, experiment="cdf", setups=3,
                           stat_budget=80, eval_budget=80)
-        rows, _ = run_cdf(cfg)
+        rows, _ = run_experiment(cfg)
 
         def samples(scheme):
             return np.sort([r.se for r in rows
