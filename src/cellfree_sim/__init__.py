@@ -29,7 +29,6 @@ from .estimation import (
     EstimateSet,
     PilotEstimator,
     error_statistics_check,
-    psi_matrix,
 )
 from .evaluation import MonteCarloBudgets, SeReport, cd_se, evaluate_schemes, uatf_se
 from .experiments import (

@@ -99,12 +99,6 @@ def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan, sigma2: float) -> 
     return np.linalg.solve(system, H * np.sqrt(plan.powers_w))
 
 
-@dataclass(frozen=True)
-class StatisticalModel:
-    pi: PiSet | None
-    lsfd: LsfdMoments | None
-
-
 def estimated_draws(estimator: PilotEstimator, total: int, stream):
     """Yield `(draws, estimates)` for `total` draws, `CHUNK` draws at a time.
 
@@ -118,8 +112,11 @@ def estimated_draws(estimator: PilotEstimator, total: int, stream):
 
 
 def statistics_pass(estimator: PilotEstimator, mc: int, stream,
-                    need_pi: bool, need_lsfd: bool) -> StatisticalModel:
+                    need_pi: bool, need_lsfd: bool
+                    ) -> tuple[PiSet | None, LsfdMoments | None]:
     """Shared statistics sweep feeding both distributed schemes.
+
+    Returns `(pi, lsfd)`; each is None unless requested.
 
     One stream of channel draws is used for every AP and both accumulation
     targets, which reduces the variance of cross-scheme comparisons. Chunk
@@ -174,7 +171,7 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
             second_moments=tuple(g / mc for g in g_sum),
             noise_power=tuple(s / mc for s in s_sum),
         )
-    return StatisticalModel(pi=pi, lsfd=lsfd)
+    return pi, lsfd
 
 
 def lsfd_weights(moments: LsfdMoments, powers: np.ndarray, sigma2: float

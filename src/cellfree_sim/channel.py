@@ -5,17 +5,16 @@ scaled by the line-of-sight share of the pair gain, a fixed phase drawn once
 per network setup, and a spatially correlated Gaussian scattered component.
 The scattering covariance follows the Gaussian local scattering model: the
 multipath angles are jointly Gaussian around the nominal azimuth/elevation,
-truncated at 8 standard deviations, wrapped around the angular support and
-renormalized.
+truncated at 8 standard deviations and renormalized. Elevation folds modulo
+pi (a ray below the horizon is placed at pi minus its depth); azimuth enters
+only through the 2 pi-periodic sin, so its window is not split at +-pi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import ConfigError, NumericalError
 from .scenario import AreaConfig, Deployment, rician_factor
@@ -26,6 +25,8 @@ _TRUNCATION_SIGMAS = 8.0
 QUAD_TOL = 1e-8
 QUAD_MAX_NODES = 256  # per angle axis
 PSD_TRACE_TOL = 1e-10
+# Quadrature nodes per pass (at least one pair's); bounds the quadrature's memory.
+_NODES_PER_PASS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,6 @@ class ChannelStats:
     kappa: np.ndarray       # (K, L) Rician factors
     beta_lin: np.ndarray    # (K, L) linear pair gains
     cov_factor: np.ndarray  # (K, L, N, N) factor F with F F^H = nlos_cov
-
-    @property
-    def n_antennas(self) -> int:
-        return self.los_mean.shape[2]
 
     def phased_mean(self) -> np.ndarray:
         """LoS component including the fixed phase, laid out (L, N, K)."""
@@ -60,89 +57,100 @@ class ChannelDraw:
         return self.true_channels.shape[0]
 
 
-def los_signature(azimuth: float, elevation: float, n_antennas: int) -> np.ndarray:
-    """Uniform-linear-array steering vector for a nominal arrival direction."""
+def los_signature(azimuth, elevation, n_antennas: int) -> np.ndarray:
+    """Uniform-linear-array steering vectors, shape angles.shape + (n_antennas,)."""
     n = np.arange(n_antennas)
-    return np.exp(2j * np.pi * ANTENNA_SPACING * n * np.sin(azimuth) * np.cos(elevation))
+    return np.exp(2j * np.pi * ANTENNA_SPACING * n * np.sin(azimuth)[..., None]
+                  * np.cos(elevation)[..., None])
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
+              n_antennas: int) -> np.ndarray:
+    """First Toeplitz rows, (pairs, n_antennas), of one quadrature level.
 
-
-def _wrapped_axis(mean: float, sigma: float, support_lo: float, support_hi: float,
-                  n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes for one truncated, wrapped Gaussian angle.
-
-    Integrates over the +-8 sigma window around the mean, splitting at the
-    period boundaries so the wrapped angle is continuous within each piece.
-    Returns wrapped node angles and the combined quadrature-times-pdf weights
-    (unnormalized; callers divide by the integrated mass).
+    Azimuth takes n nodes on its +-8 sigma window. Elevation takes n nodes on
+    each side of the cut c = clip(0, el - 8 sigma, el + 8 sigma), and its nodes
+    below 0 fold to x + pi. The weights leave out constant factors, which the
+    division by the total mass removes anyway.
     """
-    period = support_hi - support_lo
-    lo = mean - _TRUNCATION_SIGMAS * sigma
-    hi = mean + _TRUNCATION_SIGMAS * sigma
-    base_x, base_w = _gauss_legendre(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = _TRUNCATION_SIGMAS * sigma
+    az_offset = half * x
+    az_w = w * np.exp(-0.5 * (az_offset / sigma) ** 2)
+    lo, hi = elevation - half, elevation + half
+    cut = np.clip(0.0, lo, hi)
+    a = np.stack([lo, cut], -1)[..., None]    # (P, 2, 1) piece starts
+    b = np.stack([cut, hi], -1)[..., None]    # piece ends
+    el_nodes = 0.5 * (a + b) + 0.5 * (b - a) * x   # (P, 2, n)
+    el_w = 0.5 * (b - a) * w * np.exp(-0.5 * ((el_nodes - elevation[:, None, None]) / sigma) ** 2)
+    el_w = el_w.reshape(-1, 2 * n)
+    cos_el = np.cos(np.where(el_nodes < 0.0, el_nodes + np.pi, el_nodes)).reshape(-1, 2 * n)
 
-    w_min = int(np.floor((lo - support_lo) / period))
-    w_max = int(np.floor((hi - support_lo) / period))
-    angles, weights = [], []
-    for w in range(w_min, w_max + 1):
-        a = max(lo, support_lo + w * period)
-        b = min(hi, support_lo + (w + 1) * period)
-        if b - a <= 0.0:
-            continue
-        x = 0.5 * (a + b) + 0.5 * (b - a) * base_x
-        pdf = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi))
-        angles.append(x - w * period)
-        weights.append(0.5 * (b - a) * base_w * pdf)
-    return np.concatenate(angles), np.concatenate(weights)
+    rows = np.empty((len(azimuth), n_antennas), dtype=complex)
+    per_pass = max(1, _NODES_PER_PASS // (2 * n * n))
+    for start in range(0, len(azimuth), per_pass):
+        p = slice(start, start + per_pass)
+        direction = np.sin(azimuth[p, None] + az_offset)[:, :, None] * cos_el[p, None, :]
+        phase = 2.0 * np.pi * ANTENNA_SPACING * direction
+        step = np.empty(phase.shape, dtype=complex)   # exp(j phase), faster than np.exp
+        np.cos(phase, out=step.real)
+        np.sin(phase, out=step.imag)
+        weight = az_w[:, None] * el_w[p, None, :]
+        mass = weight.sum(axis=(1, 2))
+        running = weight.astype(complex)
+        rows[p, 0] = running.sum(axis=(1, 2)) / mass
+        for m in range(1, n_antennas):
+            running *= step
+            rows[p, m] = running.sum(axis=(1, 2)) / mass
+    return rows
 
 
-def local_scattering_covariance(azimuth: float, elevation: float,
-                                sigma_az: float, sigma_el: float,
-                                n_antennas: int) -> np.ndarray:
-    """Normalized spatial correlation matrix of the scattered component.
+def _toeplitz(rows: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrices: entry (x, y) is row[x - y], conjugated for x < y."""
+    lag = np.subtract.outer(np.arange(rows.shape[-1]), np.arange(rows.shape[-1]))
+    entries = rows[..., np.abs(lag)]
+    return np.where(lag >= 0, entries, entries.conj())
 
-    Entry (x, y) is the expectation of exp(j 2 pi spacing (x-y) sin(az) cos(el))
-    over the truncated wrapped Gaussian angle distribution, evaluated with a
-    tensor-product Gauss-Legendre rule. The node count doubles from 16 until two
-    successive refinements agree to QUAD_TOL in Frobenius norm; NumericalError
-    past QUAD_MAX_NODES per axis. The result has a unit diagonal and is PSD by
-    construction (a positive combination of steering-vector outer products).
+
+def local_scattering_covariance(azimuth, elevation, n_antennas: int,
+                                sigma: float = ANGLE_SPREAD_RAD) -> np.ndarray:
+    """Normalized spatial correlation matrices of the scattered component.
+
+    Elementwise over the angle arrays; returns angles.shape + (N, N). Entry
+    (x, y) is the expectation of exp(j 2 pi spacing (x-y) sin(az) cos(el)) over
+    the truncated Gaussian angles, from a tensor-product Gauss-Legendre rule.
+    Per pair, the node count doubles from 16 until two successive levels agree
+    to QUAD_TOL in Frobenius norm; NumericalError past QUAD_MAX_NODES per axis.
+    Each result has a unit diagonal and is PSD by construction (a positive
+    combination of steering-vector outer products).
     """
-    if sigma_az <= 0 or sigma_el <= 0:
-        raise ConfigError("angle spreads must be positive")
+    if not sigma > 0:
+        raise ConfigError("angle spread must be positive")
     if n_antennas < 1:
         raise ConfigError("n_antennas must be >= 1")
+    azimuth, elevation = np.broadcast_arrays(azimuth, elevation)
+    if not np.all((elevation >= 0.0) & (elevation <= np.pi / 2)):
+        raise ConfigError("elevation must lie in [0, pi/2]")
+    shape = azimuth.shape
+    azimuth, elevation = azimuth.ravel(), elevation.ravel()
 
+    rows = np.empty((azimuth.size, n_antennas), dtype=complex)
+    active = np.arange(azimuth.size)
     prev = None
     n = 16
-    while n <= QUAD_MAX_NODES:
-        az_ang, az_w = _wrapped_axis(azimuth, sigma_az, -np.pi, np.pi, n)
-        el_ang, el_w = _wrapped_axis(elevation, sigma_el, 0.0, np.pi, n)
-        direction = np.sin(az_ang)[:, None] * np.cos(el_ang)[None, :]
-        weight = az_w[:, None] * el_w[None, :]
-        mass = weight.sum()
-
-        # Toeplitz structure: only the first row of the matrix is needed.
-        step = np.exp(2j * np.pi * ANTENNA_SPACING * direction)
-        first_row = np.empty(n_antennas, dtype=complex)
-        running = weight.astype(complex)
-        first_row[0] = running.sum() / mass
-        for m in range(1, n_antennas):
-            running = running * step
-            first_row[m] = running.sum() / mass
-
-        cov = toeplitz(first_row, np.conj(first_row))
-        if prev is not None and np.linalg.norm(cov - prev) < QUAD_TOL:
-            return cov
-        prev = cov
+    while active.size and n <= QUAD_MAX_NODES:
+        level = _lag_rows(azimuth[active], elevation[active], sigma, n, n_antennas)
+        if prev is not None:
+            done = np.linalg.norm(_toeplitz(level - prev), axis=(1, 2)) < QUAD_TOL
+            rows[active[done]] = level[done]
+            active, level = active[~done], level[~done]
+        prev = level
         n *= 2
-    raise NumericalError(
-        f"scattering covariance quadrature did not converge within {QUAD_MAX_NODES} nodes per axis"
-    )
+    if active.size:
+        raise NumericalError(
+            f"scattering covariance quadrature did not converge within {QUAD_MAX_NODES} nodes per axis"
+        )
+    return _toeplitz(rows).reshape(shape + (n_antennas, n_antennas))
 
 
 def _psd_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,18 +187,11 @@ class PairGeometry:
 
 def pair_geometry(dep: Deployment, cfg: AreaConfig) -> PairGeometry:
     """Steering vectors and normalized scattering matrices for every pair."""
-    K, L = dep.gains_db.shape
     N = cfg.antennas_per_ap
-    steering = np.empty((K, L, N), dtype=complex)
-    scattering = np.empty((K, L, N, N), dtype=complex)
-    for k in range(K):
-        for l in range(L):
-            steering[k, l] = los_signature(dep.azimuth[k, l], dep.elevation[k, l], N)
-            scattering[k, l] = local_scattering_covariance(
-                dep.azimuth[k, l], dep.elevation[k, l],
-                ANGLE_SPREAD_RAD, ANGLE_SPREAD_RAD, N,
-            )
-    return PairGeometry(steering=steering, scattering=scattering)
+    return PairGeometry(
+        steering=los_signature(dep.azimuth, dep.elevation, N),
+        scattering=local_scattering_covariance(dep.azimuth, dep.elevation, N),
+    )
 
 
 def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
@@ -255,5 +256,5 @@ def sample_channels(stats: ChannelStats, rng: np.random.Generator, n_draws: int 
     z = rng.standard_normal((n_draws, K, L, N)) + 1j * rng.standard_normal((n_draws, K, L, N))
     z *= np.sqrt(0.5)
     channels = stats.cov_factor @ z.transpose(1, 2, 3, 0)    # (K, L, N, draws)
-    channels += (stats.los_mean * np.exp(1j * stats.los_phase)[:, :, None])[..., None]
+    channels += stats.phased_mean().transpose(2, 0, 1)[..., None]
     return ChannelDraw(true_channels=np.ascontiguousarray(channels.transpose(3, 1, 2, 0)))

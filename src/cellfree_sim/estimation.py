@@ -35,22 +35,6 @@ class EstimateSet:
         return self.estimates.shape[0]
 
 
-def psi_matrix(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-               ap: int, pilot: int) -> np.ndarray:
-    """Covariance of the decorrelated pilot observation at one AP, one pilot.
-
-    Sum of eta_i * tau_p * R_{i,ap} over the UEs on the pilot, plus the noise
-    floor sigma^2 I.
-    """
-    if not 0 <= pilot < plan.pilot_count:
-        raise ConfigError("pilot index out of range")
-    N = stats.n_antennas
-    psi = cfg.noise_power_w * np.eye(N, dtype=complex)
-    for i in np.flatnonzero(plan.pilot_of_ue == pilot):
-        psi = psi + plan.pilot_powers_w[i] * plan.pilot_count * stats.nlos_cov[i, ap]
-    return psi
-
-
 class PilotEstimator:
     """Precomputed pilot-phase processing for one (stats, plan) pair.
 
@@ -66,10 +50,12 @@ class PilotEstimator:
         self.plan = plan
         self.cfg = cfg
 
+        # psi[t, l]: covariance of the decorrelated pilot-t observation at AP l,
+        # sigma^2 I plus eta_i * tau_p * R_{i,l} over the UEs i on pilot t
         self.psi = np.empty((tau_p, L, N, N), dtype=complex)
-        for t in range(tau_p):
-            for l in range(L):
-                self.psi[t, l] = psi_matrix(stats, plan, cfg, l, t)
+        self.psi[:] = cfg.noise_power_w * np.eye(N, dtype=complex)
+        for i in range(K):
+            self.psi[plan.pilot_of_ue[i]] += plan.pilot_powers_w[i] * tau_p * stats.nlos_cov[i]
 
         # gain[k, l] maps the pilot innovation to the estimate update;
         # err_cov[k, l] is the posterior covariance of the estimation error.

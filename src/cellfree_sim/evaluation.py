@@ -189,16 +189,16 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     weights = stage2_full = None
     regularized: dict[Scheme, tuple[int, ...]] = {s: () for s in schemes}
     if need_local:
-        model = statistics_pass(
+        pi, lsfd = statistics_pass(
             estimator, budgets.stat_draws, subsequence(stream, ROLE_STATISTICS),
             need_pi=need_pi, need_lsfd=need_lsfd,
         )
         stat_used = budgets.stat_draws
         if need_lsfd:
-            weights, flagged = lsfd_weights(model.lsfd, plan.powers_w, sigma2)
+            weights, flagged = lsfd_weights(lsfd, plan.powers_w, sigma2)
             regularized[Scheme.LMMSE_LSFD] = flagged
         if need_pi:
-            stage2_full, flagged = stage2_all(model.pi, plan)
+            stage2_full, flagged = stage2_all(pi, plan)
             regularized[Scheme.LTMMSE] = flagged
 
     gains = {s: [] for s in schemes}

@@ -110,13 +110,6 @@ class ServicePlan:
     pilot_powers_w: np.ndarray            # (K,) uplink pilot power
     pilot_count: int
 
-    def serving_mask(self, ap_count: int) -> np.ndarray:
-        """Boolean (K, L) mask of the cluster memberships."""
-        mask = np.zeros((len(self.pilot_of_ue), ap_count), dtype=bool)
-        for k, cluster in enumerate(self.cluster_of_ue):
-            mask[k, cluster] = True
-        return mask
-
 
 def wrapped_distance(a, b, side: float, dh: float) -> float:
     """3-D distance between ground positions `a` and `b` on the wrapped square.

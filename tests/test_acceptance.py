@@ -80,9 +80,9 @@ def test_criterion_1_pure_los_team_equals_centralized():
     est = estimator.estimate(draws, gen)
     centralized = mmse_combiner(est, plan, cfg.noise_power_w)
 
-    model = statistics_pass(estimator, 2, np.random.SeedSequence(2),
+    pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(2),
                             need_pi=True, need_lsfd=False)
-    stage2, _ = stage2_all(model.pi, plan)
+    stage2, _ = stage2_all(pi, plan)
     team = assemble_ltmmse(lmmse_local_matrices(est, plan, cfg.noise_power_w),
                            stage2, plan)
 
@@ -108,8 +108,8 @@ def test_criterion_2_nlos_team_matches_lsfd_within_ci():
     tol = np.sqrt(lt.uatf.ci**2 + lm.uatf.ci**2)  # 95% halfwidth of the difference
     assert np.all(diff <= tol), (diff, tol)
 
-    pi = statistics_pass(PilotEstimator(stats, plan, cfg), 2000, np.random.SeedSequence(23),
-                         need_pi=True, need_lsfd=False).pi
+    pi, _ = statistics_pass(PilotEstimator(stats, plan, cfg), 2000, np.random.SeedSequence(23),
+                            need_pi=True, need_lsfd=False)
     off = ~np.eye(cfg.ue_count, dtype=bool)
     se_ratio = np.abs(pi.pi[:, off]) / np.maximum(pi.se[:, off], 1e-300)
     assert se_ratio.max() < 5.0
@@ -234,7 +234,7 @@ def test_criterion_7_covariance_synthesis():
     assert diag_err < 1e-6
     assert eig_floor_ok
 
-    point = cf.local_scattering_covariance(0.8, 0.35, 1e-9, 1e-9, 4)
+    point = cf.local_scattering_covariance(0.8, 0.35, 4, sigma=1e-9)
     steer = cf.los_signature(0.8, 0.35, 4)
     frob = np.linalg.norm(point - np.outer(steer, steer.conj()))
     assert frob < 1e-6
@@ -260,9 +260,9 @@ def test_criterion_8_team_fixed_point():
     estimator = PilotEstimator(stats, plan, cfg)
     est = estimator.estimate(draws, gen)
     local = lmmse_local_matrices(est, plan, sigma2)
-    model = statistics_pass(estimator, 2, np.random.SeedSequence(81),
+    pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(81),
                             need_pi=True, need_lsfd=False)
-    stage2, _ = stage2_all(model.pi, plan)
+    stage2, _ = stage2_all(pi, plan)
     team = assemble_ltmmse(local, stage2, plan)[0]             # (L, N, K)
 
     H = draws.true_channels[0]                                 # (L, N, K), deterministic

@@ -196,7 +196,7 @@ class TestPiEstimation:
         plan = make_plan([0, 1], [[0], [0]], pilot_count=2)
         cfg = make_cfg(L=1, K=2, N=2, tau_p=2, sigma2=0.2)
         est = PilotEstimator(stats, plan, cfg)
-        pi = statistics_pass(est, 2, 3, need_pi=True, need_lsfd=False).pi
+        pi, _ = statistics_pass(est, 2, 3, need_pi=True, need_lsfd=False)
 
         draws = sample_channels(stats, np.random.default_rng(0), 1)
         eset = est.estimate(draws, np.random.default_rng(1))
@@ -209,8 +209,8 @@ class TestPiEstimation:
         stats = make_stats(np.zeros((1, 1, 1)), 0.9 * np.ones((1, 1, 1, 1)))
         plan = make_plan([0], [[0]], powers=[0.8])
         cfg = make_cfg(L=1, K=1, N=1, tau_p=1, sigma2=0.1)
-        pi = statistics_pass(PilotEstimator(stats, plan, cfg), 400, 5,
-                             need_pi=True, need_lsfd=False).pi
+        pi, _ = statistics_pass(PilotEstimator(stats, plan, cfg), 400, 5,
+                                need_pi=True, need_lsfd=False)
         value = pi.pi[0, 0, 0]
         assert abs(value.imag) < 1e-3
         assert 0.0 < value.real < 1.0
@@ -220,8 +220,8 @@ class TestPiEstimation:
         plan = make_plan([0, 0], [[0], [0]])
         cfg = make_cfg(L=1, K=2, N=2, tau_p=1, sigma2=0.3)
         estimator = PilotEstimator(stats, plan, cfg)
-        small = statistics_pass(estimator, 1000, 5, need_pi=True, need_lsfd=False).pi
-        large = statistics_pass(estimator, 4000, 6, need_pi=True, need_lsfd=False).pi
+        small, _ = statistics_pass(estimator, 1000, 5, need_pi=True, need_lsfd=False)
+        large, _ = statistics_pass(estimator, 4000, 6, need_pi=True, need_lsfd=False)
         ratio = small.se.mean() / large.se.mean()
         assert 1.6 < ratio < 2.6  # budget x4 should halve the standard error
 
@@ -234,8 +234,8 @@ class TestLsfdMoments:
         plan = make_plan([0, 1], [[0, 1], [1]], pilot_count=2)
         cfg = make_cfg(L=2, K=2, N=2, tau_p=2, sigma2=0.2)
         estimator = PilotEstimator(stats, plan, cfg)
-        moments = statistics_pass(estimator, 3, np.random.SeedSequence(8),
-                                  need_pi=False, need_lsfd=True).lsfd
+        _, moments = statistics_pass(estimator, 3, np.random.SeedSequence(8),
+                                     need_pi=False, need_lsfd=True)
 
         draws = sample_channels(stats, np.random.default_rng(0), 1)
         est = estimator.estimate(draws, np.random.default_rng(1))
@@ -299,9 +299,9 @@ class TestSchemeEquivalences:
         est = estimator.estimate(draws, np.random.default_rng(2))
         centralized = mmse_combiner(est, plan, cfg.noise_power_w)
 
-        model = statistics_pass(estimator, 2, np.random.SeedSequence(4),
+        pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(4),
                                 need_pi=True, need_lsfd=False)
-        stage2, flagged = stage2_all(model.pi, plan)
+        stage2, flagged = stage2_all(pi, plan)
         assert flagged == ()
         local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
         team = assemble_ltmmse(local, stage2, plan)

@@ -5,6 +5,7 @@ import pytest
 
 from cellfree_sim import channel
 from cellfree_sim.channel import (
+    _psd_factor,
     build_channel_stats,
     local_scattering_covariance,
     los_signature,
@@ -15,6 +16,53 @@ from cellfree_sim.errors import ConfigError, NumericalError
 from cellfree_sim.scenario import AreaConfig, deploy, rician_factor
 
 SPREAD_5_DEG = np.radians(5.0)
+
+
+def monte_carlo_lag_one(azimuth, elevation, spread=SPREAD_5_DEG, n=10**6):
+    """Independent oracle for the lag-one correlation of a 2-antenna array:
+    rejection-sample the truncated Gaussian angles, wrap azimuth to [-pi, pi)
+    and fold elevation modulo pi, and average the integrand directly."""
+    gen = np.random.default_rng(2024)
+    d_az = gen.normal(0.0, spread, size=n)
+    d_el = gen.normal(0.0, spread, size=n)
+    keep = (np.abs(d_az) <= 8 * spread) & (np.abs(d_el) <= 8 * spread)
+    phi = azimuth + d_az[keep]
+    phi = np.mod(phi + np.pi, 2 * np.pi) - np.pi
+    theta = elevation + d_el[keep]
+    theta = np.mod(theta, np.pi)
+    return np.exp(2j * np.pi * 0.5 * 1 * np.sin(phi) * np.cos(theta)).mean()
+
+
+def fixed_rule_covariance(azimuth, elevation, n_antennas, spread=SPREAD_5_DEG, nodes=512):
+    """Brute-force reference: a fixed `nodes`-point Gauss-Legendre rule on each
+    piece of the +-8 sigma windows, elevation split at 0 and folded modulo pi."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+
+    def axis(mean, pieces):
+        angles, weights = [], []
+        for a, b in pieces:
+            t = 0.5 * (a + b) + 0.5 * (b - a) * x
+            angles.append(t)
+            weights.append(0.5 * (b - a) * w * np.exp(-0.5 * ((t - mean) / spread) ** 2))
+        return np.concatenate(angles), np.concatenate(weights)
+
+    half = 8 * spread
+    phi, w_az = axis(azimuth, [(azimuth - half, azimuth + half)])
+    lo, hi = elevation - half, elevation + half
+    theta, w_el = axis(elevation, [(lo, 0.0), (0.0, hi)] if lo < 0 else [(lo, hi)])
+    theta = np.mod(theta, np.pi)
+    step = np.exp(2j * np.pi * 0.5 * np.outer(np.sin(phi), np.cos(theta)))
+    mass = w_az.sum() * w_el.sum()
+    # E[exp(j pi m u)] for lags m >= 0; lag -m is the conjugate
+    row, power = [], np.ones_like(step)
+    for _ in range(n_antennas):
+        row.append(w_az @ power @ w_el / mass)
+        power = power * step
+    cov = np.empty((n_antennas, n_antennas), dtype=complex)
+    for i in range(n_antennas):
+        for j in range(n_antennas):
+            cov[i, j] = row[i - j] if i >= j else np.conj(row[j - i])
+    return cov
 
 
 def small_cfg(N=2, **kw):
@@ -44,7 +92,7 @@ class TestLosSignature:
 
 class TestScatteringCovariance:
     def test_unit_diagonal_and_hermitian(self):
-        cov = local_scattering_covariance(0.4, 0.3, SPREAD_5_DEG, SPREAD_5_DEG, 4)
+        cov = local_scattering_covariance(0.4, 0.3, 4)
         np.testing.assert_allclose(np.diag(cov).real, 1.0, atol=1e-12)
         np.testing.assert_allclose(cov, cov.conj().T, atol=1e-15)
 
@@ -52,45 +100,72 @@ class TestScatteringCovariance:
         (0.0, 0.02), (1.2, 0.4), (-3.0, 1.5), (np.pi, 0.01), (2.5, np.pi / 2),
     ])
     def test_psd_even_near_support_edges(self, azimuth, elevation):
-        cov = local_scattering_covariance(azimuth, elevation, SPREAD_5_DEG, SPREAD_5_DEG, 4)
+        cov = local_scattering_covariance(azimuth, elevation, 4)
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-10 * np.trace(cov).real
 
     def test_point_mass_limit_is_rank_one(self):
         azimuth, elevation = 0.8, 0.35
         tiny = 1e-9
-        cov = local_scattering_covariance(azimuth, elevation, tiny, tiny, 4)
+        cov = local_scattering_covariance(azimuth, elevation, 4, sigma=tiny)
         steer = los_signature(azimuth, elevation, 4)
         np.testing.assert_allclose(cov, np.outer(steer, steer.conj()), atol=1e-6)
 
     def test_matches_monte_carlo_integration(self):
-        # independent oracle: rejection-sample the truncated wrapped Gaussian
-        # angles and average the integrand directly
-        azimuth, elevation, spread = 0.0, np.pi / 4, SPREAD_5_DEG
-        cov = local_scattering_covariance(azimuth, elevation, spread, spread, 2)
+        azimuth, elevation = 0.0, np.pi / 4
+        cov = local_scattering_covariance(azimuth, elevation, 2)
+        assert abs(cov[1, 0] - monte_carlo_lag_one(azimuth, elevation)) < 5e-3
 
-        gen = np.random.default_rng(2024)
-        n = 10**6
-        d_az = gen.normal(0.0, spread, size=n)
-        d_el = gen.normal(0.0, spread, size=n)
-        keep = (np.abs(d_az) <= 8 * spread) & (np.abs(d_el) <= 8 * spread)
-        phi = azimuth + d_az[keep]
-        phi = np.mod(phi + np.pi, 2 * np.pi) - np.pi
-        theta = elevation + d_el[keep]
-        theta = np.mod(theta, np.pi)
-        integrand = np.exp(2j * np.pi * 0.5 * 1 * np.sin(phi) * np.cos(theta))
-        oracle = integrand.mean()
-        assert abs(cov[1, 0] - oracle) < 5e-3
+    @pytest.mark.parametrize("azimuth", [0.7, 3.1])
+    def test_matches_monte_carlo_below_horizon(self, azimuth):
+        # at 1 degree most of the +-8 sigma elevation window lies below the
+        # horizon, so the folded part of the model dominates
+        elevation = np.radians(1.0)
+        cov = local_scattering_covariance(azimuth, elevation, 2)
+        assert abs(cov[1, 0] - monte_carlo_lag_one(azimuth, elevation)) < 5e-3
+
+    def test_matches_fixed_rule_reference_on_a_grid(self):
+        az, el = np.meshgrid([-np.pi, -3.1, 0.0, 0.7, 3.1, np.pi],
+                             [0.0, np.radians(1.0), 0.35, 0.7, np.pi / 2], indexing="ij")
+        got = local_scattering_covariance(az, el, 4)
+        assert got.shape == az.shape + (4, 4)
+        for idx in np.ndindex(az.shape):
+            np.testing.assert_allclose(got[idx], fixed_rule_covariance(az[idx], el[idx], 4),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("elevation", [-1e-9, np.pi / 2 + 1e-9, np.nan])
+    def test_rejects_elevation_outside_first_quadrant(self, elevation):
+        with pytest.raises(ConfigError, match="elevation"):
+            local_scattering_covariance(0.3, elevation, 2)
 
     def test_non_converging_quadrature_raises(self, monkeypatch):
         # with a single refinement level there is nothing to compare against
         monkeypatch.setattr(channel, "QUAD_MAX_NODES", 16)
         with pytest.raises(NumericalError, match="did not converge"):
-            local_scattering_covariance(0.4, 0.3, SPREAD_5_DEG, SPREAD_5_DEG, 4)
+            local_scattering_covariance(0.4, 0.3, 4)
 
     def test_rejects_nonpositive_spread(self):
         with pytest.raises(ConfigError):
-            local_scattering_covariance(0.0, 0.3, 0.0, SPREAD_5_DEG, 2)
+            local_scattering_covariance(0.0, 0.3, 2, sigma=0.0)
+
+
+class TestPsdFactor:
+    def test_rank_deficient_matrix_is_repaired_exactly(self):
+        v = np.array([1.0, 1.0j, -1.0])
+        matrix = np.outer(v, v.conj())             # rank one, so Cholesky fails
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(matrix)
+        repaired, factor = _psd_factor(matrix)
+        np.testing.assert_allclose(repaired, matrix, atol=1e-12)
+        np.testing.assert_allclose(factor @ factor.conj().T, matrix, atol=1e-12)
+
+    def test_indefinite_matrix_beyond_tolerance_raises(self):
+        with pytest.raises(NumericalError, match="indefinite"):
+            _psd_factor(np.diag([2.0, -1.0]).astype(complex))
+
+    def test_zero_trace_gives_zero_factors(self):
+        repaired, factor = _psd_factor(np.zeros((3, 3), dtype=complex))
+        assert np.all(repaired == 0) and np.all(factor == 0)
 
 
 class TestBuildChannelStats:

@@ -5,11 +5,7 @@ import pytest
 
 from cellfree_sim.channel import build_channel_stats, sample_channels
 from cellfree_sim.errors import ConfigError
-from cellfree_sim.estimation import (
-    PilotEstimator,
-    error_statistics_check,
-    psi_matrix,
-)
+from cellfree_sim.estimation import PilotEstimator, error_statistics_check
 from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
 
 from conftest import make_cfg, make_plan, make_stats
@@ -26,7 +22,7 @@ class TestPsiMatrix:
         stats = make_stats(np.zeros((1, 1, 2)), identity_cov(1, 1, 2))
         plan = make_plan([0], [[0]], pilot_count=2)
         cfg = make_cfg(L=1, K=1, N=2, tau_p=2, sigma2=0.3)
-        psi = psi_matrix(stats, plan, cfg, ap=0, pilot=1)
+        psi = PilotEstimator(stats, plan, cfg).psi[1, 0]
         np.testing.assert_allclose(psi, 0.3 * np.eye(2), atol=1e-15)
 
     def test_single_ue_identity_covariance(self):
@@ -34,7 +30,7 @@ class TestPsiMatrix:
         stats = make_stats(np.zeros((1, 1, 2)), identity_cov(1, 1, 2))
         plan = make_plan([0], [[0]], pilot_powers=[1.0], pilot_count=1)
         cfg = make_cfg(L=1, K=1, N=2, tau_p=1, sigma2=0.25)
-        psi = psi_matrix(stats, plan, cfg, ap=0, pilot=0)
+        psi = PilotEstimator(stats, plan, cfg).psi[0, 0]
         np.testing.assert_allclose(psi, 1.25 * np.eye(2), atol=1e-15)
 
     def test_two_copilot_ues_sum_term_by_term(self, rng):
@@ -46,16 +42,9 @@ class TestPsiMatrix:
         stats = make_stats(np.zeros((2, 1, N)), cov)
         plan = make_plan([0, 0], [[0], [0]], pilot_powers=[0.2, 0.7], pilot_count=2)
         cfg = make_cfg(L=1, K=2, N=N, tau_p=2, sigma2=0.1)
-        psi = psi_matrix(stats, plan, cfg, ap=0, pilot=0)
+        psi = PilotEstimator(stats, plan, cfg).psi[0, 0]
         expected = 0.2 * 2 * r1 + 0.7 * 2 * r2 + 0.1 * np.eye(N)
         np.testing.assert_allclose(psi, expected, rtol=1e-12)
-
-    def test_pilot_out_of_range(self):
-        stats = make_stats(np.zeros((1, 1, 1)), identity_cov(1, 1, 1))
-        plan = make_plan([0], [[0]])
-        cfg = make_cfg(L=1, K=1, N=1)
-        with pytest.raises(ConfigError):
-            psi_matrix(stats, plan, cfg, ap=0, pilot=5)
 
 
 class TestErrorCovariance:

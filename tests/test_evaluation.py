@@ -185,10 +185,10 @@ class TestEngine:
         sigma2, p = cfg.noise_power_w, plan.powers_w
         prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
         estimator = PilotEstimator(stats, plan, cfg)
-        model = statistics_pass(estimator, budgets.stat_draws,
-                                subsequence(stream, ROLE_STATISTICS), need_pi=True, need_lsfd=True)
-        weights, _ = lsfd_weights(model.lsfd, p, sigma2)
-        stage2, _ = stage2_all(model.pi, plan)
+        pi, lsfd = statistics_pass(estimator, budgets.stat_draws,
+                                   subsequence(stream, ROLE_STATISTICS), need_pi=True, need_lsfd=True)
+        weights, _ = lsfd_weights(lsfd, p, sigma2)
+        stage2, _ = stage2_all(pi, plan)
 
         K = len(p)
         per_draw = {s: {"gain": [], "est_gain": [], "quad": [], "vnorm2": []} for s in Scheme}
