@@ -244,16 +244,57 @@ def assemble_ltmmse(local: np.ndarray, stage2_full: np.ndarray, plan: ServicePla
     return local @ stage2_full.transpose(1, 2, 0)
 
 
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.solve` over stacks a (n, M, M) and b (n, M, R); also returns
+    which of the n systems gave a finite solution.
+
+    The solution of an exactly singular system is NaN; the others are the
+    same as without it.
+    """
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan, dtype=np.result_type(a, b))
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+    return x, np.isfinite(x).all(axis=tuple(range(1, x.ndim)))
+
+
 def stage2_all(pi: PiSet, plan: ServicePlan) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Stage-two vectors for every UE, embedded in a dense (K, L, K) array."""
-    K = pi.pi.shape[1]
-    L = pi.pi.shape[0]
-    full = np.zeros((K, L, K), dtype=complex)
-    flagged = []
-    for k in range(K):
-        cluster = plan.cluster_of_ue[k]
-        c, fallback = ltmmse_stage2(pi, cluster, k)
-        full[k, cluster, :] = c
-        if fallback:
-            flagged.append(k)
-    return full, tuple(flagged)
+    """Stage-two vectors for every UE, embedded in a dense (K, L, K) array.
+
+    With A_l = I - Pi_l, the block rows c_a + sum_{b != a} Pi_b c_b = e_k of
+    `ltmmse_stage2` read A_a c_a = e_k - sum_b Pi_b c_b, which has the closed
+    form (Miretti, Bjornson & Gesbert, IEEE TWC 2022)
+
+        c_a = A_a^-1 y,  (sum_{b in C_k} A_b^-1 - (|C_k| - 1) I) y = e_k.
+
+    Pi_l is Hermitian with spectrum in [0, 1), so every A_l is positive
+    definite and the K x K system is >= I. A UE whose closed form is singular
+    or not finite gets the block solve of `ltmmse_stage2` instead and is
+    returned among the flagged UEs.
+    """
+    L, K = pi.pi.shape[:2]
+    clusters = plan.cluster_of_ue
+    member = np.zeros((K, L))
+    member[np.repeat(np.arange(K), [len(c) for c in clusters]), np.concatenate(clusters)] = 1.0
+    eye = np.eye(K)
+
+    a_inv, ap_ok = _solve_each(eye - pi.pi, np.broadcast_to(eye, (L, K, K)))
+    ok = ~(member.astype(bool) & ~ap_ok).any(axis=1)
+    a_inv[~ap_ok] = 0.0          # keeps their NaN out of the other UEs' sums
+    system = (member @ a_inv.reshape(L, K * K)).reshape(K, K, K)
+    system -= (member.sum(axis=1) - 1.0)[:, None, None] * eye
+    y, solved = _solve_each(system, eye[:, :, None])      # y[k] solves system[k] y = e_k
+    ok &= solved
+    full = member[:, :, None] * (a_inv @ y[:, :, 0].T).transpose(2, 0, 1)
+    ok &= np.isfinite(full).all(axis=(1, 2))
+
+    flagged = np.flatnonzero(~ok)
+    for k in flagged:
+        full[k] = 0.0
+        full[k, clusters[k]] = ltmmse_stage2(pi, clusters[k], k)[0]
+    return full, tuple(flagged.tolist())

@@ -12,6 +12,8 @@ only through the 2 pi-periodic sin, so its window is not split at +-pi.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,11 @@ def los_signature(azimuth, elevation, n_antennas: int) -> np.ndarray:
                   * np.cos(elevation)[..., None])
 
 
+def _pairs_per_pass(n: int) -> int:
+    """Pairs per pass of `_lag_rows` at n nodes per axis (2n on elevation)."""
+    return max(1, _NODES_PER_PASS // (2 * n * n))
+
+
 def _lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
               n_antennas: int) -> np.ndarray:
     """First Toeplitz rows, (pairs, n_antennas), of one quadrature level.
@@ -87,7 +94,7 @@ def _lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
     cos_el = np.cos(np.where(el_nodes < 0.0, el_nodes + np.pi, el_nodes)).reshape(-1, 2 * n)
 
     rows = np.empty((len(azimuth), n_antennas), dtype=complex)
-    per_pass = max(1, _NODES_PER_PASS // (2 * n * n))
+    per_pass = _pairs_per_pass(n)
     for start in range(0, len(azimuth), per_pass):
         p = slice(start, start + per_pass)
         direction = np.sin(azimuth[p, None] + az_offset)[:, :, None] * cos_el[p, None, :]
@@ -103,6 +110,36 @@ def _lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
             running *= step
             rows[p, m] = running.sum(axis=(1, 2)) / mass
     return rows
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threaded_lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
+                       n_antennas: int) -> np.ndarray:
+    """`_lag_rows` over contiguous shares of the pairs, one thread per CPU.
+
+    Each pair's row depends on that pair alone, so the rows are the same for
+    any split. The numpy calls inside release the GIL; the calling thread
+    computes the first share itself, and a level that fits in one pass
+    starts no thread.
+    """
+    passes = -(-len(azimuth) // _pairs_per_pass(n))
+    shares = min(_cpu_count(), passes)
+    if shares <= 1:
+        return _lag_rows(azimuth, elevation, sigma, n, n_antennas)
+    bounds = np.linspace(0, len(azimuth), shares + 1).astype(int)
+    parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    with ThreadPoolExecutor(max_workers=shares - 1) as pool:
+        futures = [pool.submit(_lag_rows, azimuth[p], elevation[p], sigma, n, n_antennas)
+                   for p in parts[1:]]
+        first = _lag_rows(azimuth[parts[0]], elevation[parts[0]], sigma, n, n_antennas)
+        return np.concatenate([first] + [f.result() for f in futures])
 
 
 def _toeplitz(rows: np.ndarray) -> np.ndarray:
@@ -139,7 +176,7 @@ def local_scattering_covariance(azimuth, elevation, n_antennas: int,
     prev = None
     n = 16
     while active.size and n <= QUAD_MAX_NODES:
-        level = _lag_rows(azimuth[active], elevation[active], sigma, n, n_antennas)
+        level = _threaded_lag_rows(azimuth[active], elevation[active], sigma, n, n_antennas)
         if prev is not None:
             done = np.linalg.norm(_toeplitz(level - prev), axis=(1, 2)) < QUAD_TOL
             rows[active[done]] = level[done]
@@ -159,10 +196,11 @@ def _psd_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Cholesky on the fast path; semidefinite or slightly rounded matrices fall
     back to an eigendecomposition with negative eigenvalues clipped to zero.
     Eigenvalues below -PSD_TRACE_TOL * trace are treated as a real failure.
+    Only an exactly zero matrix skips that check and gets zero factors.
     """
-    trace = float(np.real(np.trace(matrix)))
-    if trace == 0.0:
+    if not np.any(matrix):
         return np.zeros_like(matrix), np.zeros_like(matrix)
+    trace = float(np.real(np.trace(matrix)))
     try:
         return matrix, np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
@@ -219,11 +257,17 @@ def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
     los_mean = np.sqrt(beta_lin * los_share)[:, :, None] * geom.steering
     nlos_cov = np.zeros((K, L, N, N), dtype=complex)
     cov_factor = np.zeros((K, L, N, N), dtype=complex)
-    for k in range(K):
-        for l in range(L):
-            scale = beta_lin[k, l] * nlos_share[k, l]
-            if scale > 0.0:
-                nlos_cov[k, l], cov_factor[k, l] = _psd_factor(scale * geom.scattering[k, l])
+    scale = beta_lin * nlos_share
+    scattered = scale > 0.0
+    covs = scale[scattered][:, None, None] * geom.scattering[scattered]
+    try:
+        factors = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        # some pair is only semidefinite: factor each pair, repairing where needed
+        repaired = [_psd_factor(cov) for cov in covs]
+        covs = np.array([cov for cov, _ in repaired])
+        factors = np.array([factor for _, factor in repaired])
+    nlos_cov[scattered], cov_factor[scattered] = covs, factors
 
     return ChannelStats(
         los_mean=los_mean,

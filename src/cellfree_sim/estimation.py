@@ -59,18 +59,13 @@ class PilotEstimator:
 
         # gain[k, l] maps the pilot innovation to the estimate update;
         # err_cov[k, l] is the posterior covariance of the estimation error.
-        self.gain = np.zeros((K, L, N, N), dtype=complex)
-        self.err_cov = np.zeros((K, L, N, N), dtype=complex)
-        for l in range(L):
-            factors = [cho_factor(self.psi[t, l]) for t in range(tau_p)]
-            for k in range(K):
-                t = plan.pilot_of_ue[k]
-                eta = plan.pilot_powers_w[k]
-                cov = stats.nlos_cov[k, l]
-                solved = cho_solve(factors[t], cov)       # psi^-1 R
-                self.gain[k, l] = np.sqrt(eta) * solved.conj().T
-                err = cov - eta * tau_p * (solved.conj().T @ cov)
-                self.err_cov[k, l] = 0.5 * (err + err.conj().T)
+        factors, _ = cho_factor(self.psi)                      # upper factors
+        cov = stats.nlos_cov
+        solved_h = cho_solve((factors[plan.pilot_of_ue], False), cov).conj().swapaxes(-1, -2)
+        eta = plan.pilot_powers_w[:, None, None, None]         # (K, 1, 1, 1)
+        self.gain = np.sqrt(eta) * solved_h                    # sqrt(eta) R psi^-1
+        err = cov - eta * tau_p * (solved_h @ cov)
+        self.err_cov = 0.5 * (err + err.conj().swapaxes(-1, -2))
 
         self.z_matrices = np.einsum("k,klnm->lnm", plan.powers_w, self.err_cov)
         self._phased_mean = stats.phased_mean()          # (L, N, K)

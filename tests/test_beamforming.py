@@ -279,6 +279,41 @@ class TestStageTwo:
         expected = scipy.linalg.solve(dense, rhs)
         np.testing.assert_allclose(c.reshape(-1), expected, rtol=1e-12)
 
+    def test_closed_form_matches_block_solve(self, rng):
+        L, K = 6, 5
+        # Hermitian Pi_l with spectrum in [0, 1), as the local MMSE stage produces
+        q, _ = np.linalg.qr(rng.standard_normal((L, K, K)) + 1j * rng.standard_normal((L, K, K)))
+        spectrum = rng.uniform(0.0, 0.95, (L, 1, K))
+        pi = PiSet(pi=(q * spectrum) @ q.conj().swapaxes(1, 2), se=np.zeros((L, K, K)))
+        clusters = [[2], [0, 1], [1, 2, 3], [0, 3, 4, 5], [1, 3, 5]]
+        plan = make_plan([0, 1, 0, 1, 0], clusters)
+
+        stage2, flagged = stage2_all(pi, plan)
+        assert flagged == ()
+        for k, cluster in enumerate(clusters):
+            block, fallback = ltmmse_stage2(pi, np.array(cluster), k)
+            assert not fallback
+            np.testing.assert_array_equal(np.delete(stage2[k], cluster, axis=0), 0.0)
+            assert np.linalg.norm(stage2[k, cluster] - block) <= 1e-12 * np.linalg.norm(block)
+
+    def test_singular_coupling_takes_least_squares_fallback(self):
+        # Pi_0 = Pi_1 have eigenvalue 1, so I - Pi_l is singular and so is the
+        # block system of UE 0, which is served by both APs
+        K = 3
+        pi_mats = np.stack([np.diag([1.0, 0.3, 0.2]), np.diag([1.0, 0.3, 0.2]),
+                            0.5 * np.eye(K)]).astype(complex)
+        pi = PiSet(pi=pi_mats, se=np.zeros((3, K, K)))
+        plan = make_plan([0, 1, 2], [[0, 1], [2], [2]])
+
+        block, fallback = ltmmse_stage2(pi, np.array([0, 1]), k=0)
+        assert fallback
+        stage2, flagged = stage2_all(pi, plan)
+        assert flagged == (0,)
+        np.testing.assert_array_equal(stage2[0, [0, 1]], block)
+        np.testing.assert_array_equal(stage2[0, 2], 0.0)
+        for k in (1, 2):
+            np.testing.assert_allclose(stage2[k, 2], np.eye(K)[k], atol=1e-15)
+
     def test_unit_stage_two_reduces_to_unit_lmmse(self, rng):
         est = synthetic_estimates(rng, R=3, L=2, N=2, K=3, err_scale=0.2)
         plan = make_plan([0, 0, 0], [[0, 1], [0], [1]])

@@ -26,5 +26,10 @@ def test_every_traced_name_resolves(monkeypatch):
                  ("cellfree_sim.evaluation", "statistics_pass"),
                  ("cellfree_sim.evaluation", "lmmse_local_matrices"),
                  ("cellfree_sim.beamforming", "lmmse_local_matrices"),
+                 ("cellfree_sim.evaluation", "stage2_all"),
+                 ("cellfree_sim.channel", "pair_geometry"),
+                 ("cellfree_sim.experiments", "pair_geometry"),
+                 ("cellfree_sim.channel", "stats_from_geometry"),
+                 ("cellfree_sim.experiments", "stats_from_geometry"),
                  ("PilotEstimator", "__init__")]:
         assert name in looked_up

@@ -1,16 +1,20 @@
 """Steering vectors, scattering covariance quadrature, stats and sampling."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from cellfree_sim import channel
 from cellfree_sim.channel import (
+    PairGeometry,
     _psd_factor,
     build_channel_stats,
     local_scattering_covariance,
     los_signature,
     pair_geometry,
     sample_channels,
+    stats_from_geometry,
 )
 from cellfree_sim.errors import ConfigError, NumericalError
 from cellfree_sim.scenario import AreaConfig, deploy, rician_factor
@@ -148,6 +152,25 @@ class TestScatteringCovariance:
         with pytest.raises(ConfigError):
             local_scattering_covariance(0.0, 0.3, 2, sigma=0.0)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_threaded_quadrature_is_byte_identical(self, monkeypatch, threads):
+        rng = np.random.default_rng(11)
+        az, el = rng.uniform(-np.pi, np.pi, 70), rng.uniform(0.0, np.pi / 2, 70)
+        # one pair per call fits in one pass, so these start no thread
+        alone = np.stack([local_scattering_covariance(a, e, 4) for a, e in zip(az, el)])
+
+        workers = set()
+        lag_rows = channel._lag_rows
+
+        def recording(*args):
+            workers.add(threading.get_ident())
+            return lag_rows(*args)
+
+        monkeypatch.setattr(channel, "_lag_rows", recording)
+        monkeypatch.setattr(channel, "_cpu_count", lambda: threads)
+        np.testing.assert_array_equal(local_scattering_covariance(az, el, 4), alone)
+        assert len(workers) == threads
+
 
 class TestPsdFactor:
     def test_rank_deficient_matrix_is_repaired_exactly(self):
@@ -166,6 +189,10 @@ class TestPsdFactor:
     def test_zero_trace_gives_zero_factors(self):
         repaired, factor = _psd_factor(np.zeros((3, 3), dtype=complex))
         assert np.all(repaired == 0) and np.all(factor == 0)
+
+    def test_zero_trace_indefinite_matrix_raises(self):
+        with pytest.raises(NumericalError, match="indefinite"):
+            _psd_factor(np.diag([1.0, -1.0]).astype(complex))
 
 
 class TestBuildChannelStats:
@@ -212,12 +239,32 @@ class TestBuildChannelStats:
         dep = deploy(cfg, np.random.default_rng(1))
         geom = pair_geometry(dep, cfg)
         direct = build_channel_stats(dep, cfg, np.random.default_rng(9))
-        from cellfree_sim.channel import stats_from_geometry
-
         phases = np.random.default_rng(9).uniform(0, 2 * np.pi, size=dep.gains_db.shape)
         rebuilt = stats_from_geometry(geom, dep, phases)
         np.testing.assert_array_equal(direct.los_mean, rebuilt.los_mean)
         np.testing.assert_array_equal(direct.nlos_cov, rebuilt.nlos_cov)
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_batched_factors_match_per_pair_factors(self, rank_deficient):
+        cfg = small_cfg()
+        dep = deploy(cfg, np.random.default_rng(1))
+        geom = pair_geometry(dep, cfg)
+        if rank_deficient:
+            # indefinite within PSD_TRACE_TOL, so Cholesky fails and eigh repairs it
+            scattering = geom.scattering.copy()
+            scattering[1, 2] = [[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]]
+            geom = PairGeometry(steering=geom.steering, scattering=scattering)
+        stats = stats_from_geometry(geom, dep, np.zeros(dep.gains_db.shape))
+
+        scale = stats.beta_lin * (1.0 / (stats.kappa + 1.0))   # the scattered share
+        for k, l in np.ndindex(scale.shape):
+            matrix = scale[k, l] * geom.scattering[k, l]
+            if rank_deficient and (k, l) == (1, 2):
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(matrix)
+            repaired, factor = _psd_factor(matrix)
+            np.testing.assert_array_equal(stats.nlos_cov[k, l], repaired)
+            np.testing.assert_array_equal(stats.cov_factor[k, l], factor)
 
 
 class TestSampleChannels:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from cellfree_sim.channel import build_channel_stats, sample_channels
 from cellfree_sim.errors import ConfigError
@@ -80,6 +81,31 @@ class TestErrorCovariance:
                 assert np.linalg.eigvalsh(est.err_cov[k, l]).min() >= -tol
                 gap = stats.nlos_cov[k, l] - est.err_cov[k, l]
                 assert np.linalg.eigvalsh(gap).min() >= -tol
+
+    def test_batched_factorizations_match_a_per_pair_loop(self):
+        cfg = AreaConfig(side_length_m=400.0, ap_count=4, ue_count=5, antennas_per_ap=3,
+                         pilot_count=2, pilot_power_w=0.1)
+        dep = deploy(cfg, np.random.default_rng(4))
+        plan = assign_pilots_and_clusters(dep, cfg)
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(54))
+        est = PilotEstimator(stats, plan, cfg)
+
+        tau_p = plan.pilot_count
+        gain = np.zeros_like(est.gain)
+        err_cov = np.zeros_like(est.err_cov)
+        for l in range(cfg.ap_count):
+            factors = [cho_factor(est.psi[t, l]) for t in range(tau_p)]
+            for k in range(cfg.ue_count):
+                eta = plan.pilot_powers_w[k]
+                cov = stats.nlos_cov[k, l]
+                solved = cho_solve(factors[plan.pilot_of_ue[k]], cov)
+                gain[k, l] = np.sqrt(eta) * solved.conj().T
+                err = cov - eta * tau_p * (solved.conj().T @ cov)
+                err_cov[k, l] = 0.5 * (err + err.conj().T)
+        np.testing.assert_array_equal(est.gain, gain)
+        np.testing.assert_array_equal(est.err_cov, err_cov)
+        np.testing.assert_array_equal(
+            est.z_matrices, np.einsum("k,klnm->lnm", plan.powers_w, err_cov))
 
     def test_copilot_ue_never_improves_estimation(self, rng):
         # adding a contaminating UE cannot reduce the error covariance trace
