@@ -91,12 +91,13 @@ def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan, sigma2: float) -> 
 
     Column k of the (N, K) matrix of AP l is the local combiner of UE k.
     """
-    H = est.estimates
-    N = H.shape[-2]
-    system = (H * plan.powers_w) @ H.conj().swapaxes(-1, -2)
+    scaled = est.estimates * np.sqrt(plan.powers_w)
+    N = scaled.shape[-2]
+    # one einsum loop: a batched matmul calls BLAS once per small (N, K) product
+    system = np.einsum("rlnk,rlmk->rlnm", scaled, scaled.conj())
     system += est.z_matrices
     system += sigma2 * np.eye(N)
-    return np.linalg.solve(system, H * np.sqrt(plan.powers_w))
+    return np.linalg.solve(system, scaled)
 
 
 def estimated_draws(estimator: PilotEstimator, total: int, stream):

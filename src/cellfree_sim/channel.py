@@ -8,6 +8,9 @@ multipath angles are jointly Gaussian around the nominal azimuth/elevation,
 truncated at 8 standard deviations and renormalized. Elevation folds modulo
 pi (a ray below the horizon is placed at pi minus its depth); azimuth enters
 only through the 2 pi-periodic sin, so its window is not split at +-pi.
+Since cos(pi - t) = -cos(t), a ray folded from depth t has minus the phase of
+the ray at height t, so the quadrature evaluates one phase table per pair for
+both elevation pieces and conjugates the lower piece's sums.
 """
 
 from __future__ import annotations
@@ -67,33 +70,42 @@ def los_signature(azimuth, elevation, n_antennas: int) -> np.ndarray:
 
 
 def _pairs_per_pass(n: int) -> int:
-    """Pairs per pass of `_lag_rows` at n nodes per axis (2n on elevation)."""
-    return max(1, _NODES_PER_PASS // (2 * n * n))
+    """Pairs per pass of `_lag_rows` at n nodes per axis (n x n nodes per pair)."""
+    return max(1, _NODES_PER_PASS // (n * n))
 
 
 def _lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
               n_antennas: int) -> np.ndarray:
     """First Toeplitz rows, (pairs, n_antennas), of one quadrature level.
 
-    Azimuth takes n nodes on its +-8 sigma window. Elevation takes n nodes on
-    each side of the cut c = clip(0, el - 8 sigma, el + 8 sigma), and its nodes
-    below 0 fold to x + pi. The weights leave out constant factors, which the
-    division by the total mass removes anyway.
+    Azimuth takes n nodes on its +-8 sigma window. Elevation is split at 0:
+    the upper piece [max(lo, 0), hi] takes n nodes t with weight
+    g(t - el), and the piece below the horizon is folded onto the same nodes.
+    Its ray at depth t folds to pi - t, and cos(pi - t) = -cos(t), so its
+    phase is minus the phase at +t: it reuses the upper piece's phase table
+    with weight g(t + el) for t <= -lo (0 elsewhere, and everywhere when
+    lo >= 0), and its lag sums are complex conjugates. Row m is therefore
+    az_w^T P^m w_up + conj(az_w^T P^m w_down) over one n x n table P. The
+    weights leave out constant factors, which the division by the total
+    mass removes anyway; lag 0 is exactly 1.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     half = _TRUNCATION_SIGMAS * sigma
     az_offset = half * x
     az_w = w * np.exp(-0.5 * (az_offset / sigma) ** 2)
-    lo, hi = elevation - half, elevation + half
-    cut = np.clip(0.0, lo, hi)
-    a = np.stack([lo, cut], -1)[..., None]    # (P, 2, 1) piece starts
-    b = np.stack([cut, hi], -1)[..., None]    # piece ends
-    el_nodes = 0.5 * (a + b) + 0.5 * (b - a) * x   # (P, 2, n)
-    el_w = 0.5 * (b - a) * w * np.exp(-0.5 * ((el_nodes - elevation[:, None, None]) / sigma) ** 2)
-    el_w = el_w.reshape(-1, 2 * n)
-    cos_el = np.cos(np.where(el_nodes < 0.0, el_nodes + np.pi, el_nodes)).reshape(-1, 2 * n)
+    lo, hi = (elevation - half)[:, None], (elevation + half)[:, None]
+    cut = np.maximum(lo, 0.0)
+    height = 0.5 * (cut + hi) + 0.5 * (hi - cut) * x     # (P, n) nodes on [cut, hi]
+    scale = 0.5 * (hi - cut) * w
+    el = elevation[:, None]
+    up = scale * np.exp(-0.5 * ((height - el) / sigma) ** 2)
+    down = np.where(height <= -lo, scale * np.exp(-0.5 * ((height + el) / sigma) ** 2), 0.0)
+    el_w = np.stack([up, down], 1)                      # (P, 2, n)
+    mass = az_w.sum() * el_w.sum(axis=(1, 2))
+    cos_el = np.cos(height)
 
     rows = np.empty((len(azimuth), n_antennas), dtype=complex)
+    rows[:, 0] = 1.0
     per_pass = _pairs_per_pass(n)
     for start in range(0, len(azimuth), per_pass):
         p = slice(start, start + per_pass)
@@ -102,13 +114,14 @@ def _lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
         step = np.empty(phase.shape, dtype=complex)   # exp(j phase), faster than np.exp
         np.cos(phase, out=step.real)
         np.sin(phase, out=step.imag)
-        weight = az_w[:, None] * el_w[p, None, :]
-        mass = weight.sum(axis=(1, 2))
-        running = weight.astype(complex)
-        rows[p, 0] = running.sum(axis=(1, 2)) / mass
+        running = step
         for m in range(1, n_antennas):
-            running *= step
-            rows[p, m] = running.sum(axis=(1, 2)) / mass
+            if m > 1:
+                running = running * step
+            # real products on the (re, im) pairs: azimuth, then both elevation pieces
+            az_sum = np.matmul(az_w, running.view(np.float64)).reshape(-1, n, 2)
+            up, down = (el_w[p] @ az_sum).view(complex)[..., 0].T
+            rows[p, m] = (up + down.conj()) / mass[p]
     return rows
 
 

@@ -129,13 +129,32 @@ class TestScatteringCovariance:
         assert abs(cov[1, 0] - monte_carlo_lag_one(azimuth, elevation)) < 5e-3
 
     def test_matches_fixed_rule_reference_on_a_grid(self):
+        # 8 sigma -+ 1e-6 and 8 sigma: the piece below the horizon shrinks to nothing
+        edge = 8 * SPREAD_5_DEG
         az, el = np.meshgrid([-np.pi, -3.1, 0.0, 0.7, 3.1, np.pi],
-                             [0.0, np.radians(1.0), 0.35, 0.7, np.pi / 2], indexing="ij")
+                             [0.0, np.radians(1.0), 0.35, 0.7, np.pi / 2,
+                              edge - 1e-6, edge, edge + 1e-6], indexing="ij")
         got = local_scattering_covariance(az, el, 4)
         assert got.shape == az.shape + (4, 4)
         for idx in np.ndindex(az.shape):
             np.testing.assert_allclose(got[idx], fixed_rule_covariance(az[idx], el[idx], 4),
                                        rtol=0, atol=1e-12)
+
+    def test_horizon_elevation_gives_real_covariance(self):
+        # at elevation 0 the folded lower piece mirrors the upper one, so the
+        # phases cancel in pairs and the lag sums are real
+        azimuth = np.array([-3.0, -1.2, 0.0, 0.4, 1.5, 2.9])
+        cov = local_scattering_covariance(azimuth, 0.0, 4)
+        assert np.abs(cov.imag).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_pass_fills_but_stays_within_node_budget(self, n):
+        # a pair evaluates n x n nodes; a pair larger than the budget runs alone
+        budget, per_pass = channel._NODES_PER_PASS, channel._pairs_per_pass(n)
+        if n * n > budget:
+            assert per_pass == 1
+        else:
+            assert per_pass * n * n <= budget < (per_pass + 1) * n * n
 
     @pytest.mark.parametrize("elevation", [-1e-9, np.pi / 2 + 1e-9, np.nan])
     def test_rejects_elevation_outside_first_quadrant(self, elevation):
