@@ -287,7 +287,10 @@ def stage2_all(pi: PiSet, plan: ServicePlan) -> tuple[np.ndarray, tuple[int, ...
     a_inv, ap_ok = _solve_each(eye - pi.pi, np.broadcast_to(eye, (L, K, K)))
     ok = ~(member.astype(bool) & ~ap_ok).any(axis=1)
     a_inv[~ap_ok] = 0.0          # keeps their NaN out of the other UEs' sums
-    system = (member @ a_inv.reshape(L, K * K)).reshape(K, K, K)
+    # A sum per cluster, not member @ a_inv.reshape(L, K * K): that single
+    # product is large enough for OpenBLAS to thread, and its worker then
+    # busy-waits about 0.1 s, taking a core from the setup workers.
+    system = np.stack([a_inv[c].sum(axis=0) for c in clusters])
     system -= (member.sum(axis=1) - 1.0)[:, None, None] * eye
     y, solved = _solve_each(system, eye[:, :, None])      # y[k] solves system[k] y = e_k
     ok &= solved

@@ -73,15 +73,27 @@ class PilotEstimator:
         coef = np.zeros((K, tau_p))
         coef[np.arange(K), plan.pilot_of_ue] = np.sqrt(plan.pilot_powers_w) * tau_p
         self._pilot_coef = coef
+        self._ues_on_pilot = [np.flatnonzero(plan.pilot_of_ue == t) for t in range(tau_p)]
+
+    def _pilot_sums(self, H: np.ndarray) -> np.ndarray:
+        """Noiseless decorrelated pilot signal (R, L, N, tau_p) of channels H."""
+        received = np.empty(H.shape[:-1] + (self.plan.pilot_count,), dtype=complex)
+        # One small product per pilot, not H.reshape(-1, K) @ coef: a single
+        # (R L N) x K product is large enough for OpenBLAS to thread, and its
+        # worker then busy-waits about 0.1 s after every chunk, taking a core
+        # from the setup workers. An unused pilot's column is exactly zero.
+        for t, on_t in enumerate(self._ues_on_pilot):
+            np.matmul(H[..., on_t], self._pilot_coef[on_t, t], out=received[..., t])
+        return received
 
     def estimate(self, draw: ChannelDraw, rng: np.random.Generator) -> EstimateSet:
         """Simulate pilot reception for each draw and apply the MMSE map."""
         H = draw.true_channels                            # (R, L, N, K)
-        R, L, N, K = H.shape
+        R, L, N = H.shape[:3]
         tau_p = self.plan.pilot_count
         sigma2 = self.cfg.noise_power_w
 
-        received = (H.reshape(-1, K) @ self._pilot_coef).reshape(R, L, N, tau_p)
+        received = self._pilot_sums(H)
         noise_scale = np.sqrt(0.5 * sigma2 * tau_p)
         noise = noise_scale * (
             rng.standard_normal((R, tau_p, L, N)) + 1j * rng.standard_normal((R, tau_p, L, N))

@@ -296,6 +296,29 @@ class TestStageTwo:
             np.testing.assert_array_equal(np.delete(stage2[k], cluster, axis=0), 0.0)
             assert np.linalg.norm(stage2[k, cluster] - block) <= 1e-12 * np.linalg.norm(block)
 
+    def test_cluster_sums_match_one_product(self):
+        # UE 0 is served by AP 2 alone; UEs share pilots 0 and 1, pilot 2 is unused
+        cfg, _, stats = build_instance(11, L=6, K=5, N=2, tau_p=3)
+        plan = make_plan([0, 1, 0, 1, 0], [[2], [0, 1], [1, 2, 3], [0, 3, 4, 5], [1, 3, 5]],
+                         pilot_powers=np.full(5, 0.1), pilot_count=3)
+        pi, _ = statistics_pass(PilotEstimator(stats, plan, cfg), 256, 5,
+                                need_pi=True, need_lsfd=False)
+        stage2, flagged = stage2_all(pi, plan)
+        assert flagged == ()
+
+        # the closed form with the cluster sums as one (K, L) x (L, K K) product
+        L, K = pi.pi.shape[:2]
+        member = np.zeros((K, L))
+        for k, cluster in enumerate(plan.cluster_of_ue):
+            member[k, cluster] = 1.0
+        eye = np.eye(K)
+        a_inv = np.linalg.solve(eye - pi.pi, np.broadcast_to(eye, (L, K, K)))
+        system = (member @ a_inv.reshape(L, K * K)).reshape(K, K, K)
+        system -= (member.sum(axis=1) - 1.0)[:, None, None] * eye
+        y = np.linalg.solve(system, eye[:, :, None])[:, :, 0]
+        one_product = member[:, :, None] * (a_inv @ y.T).transpose(2, 0, 1)
+        np.testing.assert_allclose(stage2, one_product, rtol=1e-13)
+
     def test_singular_coupling_takes_least_squares_fallback(self):
         # Pi_0 = Pi_1 have eigenvalue 1, so I - Pi_l is singular and so is the
         # block system of UE 0, which is served by both APs

@@ -9,7 +9,7 @@ from cellfree_sim.errors import ConfigError
 from cellfree_sim.estimation import PilotEstimator, error_statistics_check
 from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
 
-from conftest import make_cfg, make_plan, make_stats
+from conftest import build_instance, make_cfg, make_plan, make_stats
 
 
 def identity_cov(K, L, N, scale=1.0):
@@ -127,6 +127,18 @@ class TestErrorCovariance:
 
 
 class TestEstimates:
+    def test_pilot_sums_match_one_product(self, rng):
+        # UEs 0, 2, 4 share pilot 0 and UEs 1, 3 pilot 1; pilot 2 is unused
+        cfg, _, stats = build_instance(11, L=6, K=5, N=2, tau_p=3)
+        plan = make_plan([0, 1, 0, 1, 0], [[2], [0, 1], [1, 2, 3], [0, 3, 4, 5], [1, 3, 5]],
+                         pilot_powers=rng.uniform(0.05, 0.1, 5), pilot_count=3)
+        estimator = PilotEstimator(stats, plan, cfg)
+        H = sample_channels(stats, rng, 7).true_channels
+        sums = estimator._pilot_sums(H)
+        one_product = (H.reshape(-1, 5) @ estimator._pilot_coef).reshape(sums.shape)
+        np.testing.assert_allclose(sums, one_product, rtol=1e-13)
+        np.testing.assert_array_equal(sums[..., 2], 0.0)
+
     def test_pure_los_estimates_are_exact(self):
         los = np.array([[[1.0 + 0.5j, -0.3j]]])
         stats = make_stats(los, np.zeros((1, 1, 2, 2)), phases=[[0.7]])

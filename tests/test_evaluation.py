@@ -1,5 +1,9 @@
 """Spectral-efficiency bounds and the Monte Carlo engine."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,38 @@ from cellfree_sim.evaluation import (
 from cellfree_sim.rng import ROLE_EVALUATION, ROLE_STATISTICS, subsequence
 
 from conftest import build_instance
+
+# CPU seconds that threads other than the caller spend on one desk-scale
+# evaluation (36 APs, 16 UEs, N=2, 4 pilots). Run in a fresh interpreter, so
+# that no BLAS call of an earlier test is still spinning.
+HELPER_THREAD_CPU = """
+import os, threading, time
+from cellfree_sim.beamforming import Scheme
+from cellfree_sim.evaluation import MonteCarloBudgets, evaluate_schemes
+from conftest import build_instance
+
+def cpu_seconds():
+    tick = os.sysconf("SC_CLK_TCK")
+    seconds = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:   # the thread has ended
+            continue
+        seconds[tid] = (int(fields[11]) + int(fields[12])) / tick   # utime + stime
+    return seconds
+
+cfg, plan, stats = build_instance(3, L=36, K=16, N=2, tau_p=4, side=1000.0)
+time.sleep(0.3)   # a BLAS pool woken by the setup stops spinning
+before = cpu_seconds()
+evaluate_schemes(stats, plan, cfg, list(Scheme),
+                 MonteCarloBudgets(stat_draws=128, eval_draws=128), 7)
+time.sleep(0.3)   # a woken OpenBLAS worker busy-waits about 0.1 s
+after = cpu_seconds()
+caller = str(threading.get_native_id())
+print(sum(after[t] - before[t] for t in before.keys() & after.keys() if t != caller))
+"""
 
 
 class TestUatfBound:
@@ -224,6 +260,18 @@ class TestEngine:
             np.testing.assert_allclose(rep.uatf_noise, sigma2 * vnorm2.mean(axis=0), rtol=1e-12)
             cd = cd_se(est_gain, quad, vnorm2, p, sigma2, prelog)
             np.testing.assert_allclose(rep.cd.se, cd.se, rtol=1e-12)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc/self/task and at least two CPUs")
+    def test_desk_evaluation_leaves_blas_threads_asleep(self):
+        # A single product large enough for OpenBLAS to thread leaves its
+        # worker busy-waiting on a core the setup workers need.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        run = subprocess.run([sys.executable, "-c", HELPER_THREAD_CPU], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) <= 0.03
 
     def test_budget_guard(self):
         cfg, plan, stats = build_instance(4)
