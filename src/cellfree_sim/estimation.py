@@ -3,7 +3,7 @@
 APs receive orthogonal pilots, decorrelate per pilot index, subtract the
 known deterministic (phased LoS) part, and apply the linear MMSE map to the
 innovation. All pilot-processing matrices depend only on channel statistics,
-so they are factorized once per setup and reused across UEs and draws.
+so they are solved once per setup and reused across UEs and draws.
 Copilot UEs share the same received pilot signal, which makes their estimates
 correlated; that correlation is physical and is reproduced here.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ChannelDraw, ChannelStats, sample_channels
 from .errors import ConfigError
@@ -38,9 +37,9 @@ class EstimateSet:
 class PilotEstimator:
     """Precomputed pilot-phase processing for one (stats, plan) pair.
 
-    Holds the factorized innovation covariances, the per-pair MMSE gain
-    matrices, error covariances and their power-weighted sums. Immutable after
-    construction; safe to share across Monte Carlo workers.
+    Holds the innovation covariances, the per-pair MMSE gain matrices, error
+    covariances and their power-weighted sums. Immutable after construction;
+    safe to share across Monte Carlo workers.
     """
 
     def __init__(self, stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig):
@@ -52,17 +51,15 @@ class PilotEstimator:
 
         # psi[t, l]: covariance of the decorrelated pilot-t observation at AP l,
         # sigma^2 I plus eta_i * tau_p * R_{i,l} over the UEs i on pilot t
+        cov = stats.nlos_cov
+        eta = plan.pilot_powers_w[:, None, None, None]         # (K, 1, 1, 1)
         self.psi = np.empty((tau_p, L, N, N), dtype=complex)
         self.psi[:] = cfg.noise_power_w * np.eye(N, dtype=complex)
-        for i in range(K):
-            self.psi[plan.pilot_of_ue[i]] += plan.pilot_powers_w[i] * tau_p * stats.nlos_cov[i]
+        np.add.at(self.psi, plan.pilot_of_ue, eta * tau_p * cov)
 
         # gain[k, l] maps the pilot innovation to the estimate update;
         # err_cov[k, l] is the posterior covariance of the estimation error.
-        factors, _ = cho_factor(self.psi)                      # upper factors
-        cov = stats.nlos_cov
-        solved_h = cho_solve((factors[plan.pilot_of_ue], False), cov).conj().swapaxes(-1, -2)
-        eta = plan.pilot_powers_w[:, None, None, None]         # (K, 1, 1, 1)
+        solved_h = np.linalg.solve(self.psi[plan.pilot_of_ue], cov).conj().swapaxes(-1, -2)
         self.gain = np.sqrt(eta) * solved_h                    # sqrt(eta) R psi^-1
         err = cov - eta * tau_p * (solved_h @ cov)
         self.err_cov = 0.5 * (err + err.conj().swapaxes(-1, -2))

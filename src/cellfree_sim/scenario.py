@@ -237,13 +237,21 @@ def power_control(gains_db: np.ndarray, clusters, v: float, p_max: float) -> np.
 
     p_k = p_max * (sum of linear cluster gains)^v / max_i (same)^v. v=0 gives
     full power for everyone, v=-1 equalizes p_k * sum(beta) across UEs.
+    The ratio is formed in the log domain, where a large |v| cannot overflow
+    or underflow it, so the UE with the largest weight gets exactly p_max.
     """
     beta_lin = 10.0 ** (np.asarray(gains_db, dtype=float) / 10.0)
     sums = np.array([beta_lin[k, cluster].sum() for k, cluster in enumerate(clusters)])
     if v < 0 and np.any(sums == 0.0):
         raise ConfigError("zero cluster gain sum with negative power-control exponent")
-    weighted = sums**v
-    return p_max * weighted / weighted.max()
+    if v == 0:  # full power, also for a zero sum, where v * ln 0 would be NaN
+        return np.full(sums.shape, float(p_max))
+    # ln 0 = -inf gives a zero sum power 0 for v > 0, and so does an exponent
+    # v * (ln s_k - ln s_max) that overflows to -inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        log_sums = np.log(sums)
+        top = log_sums.max() if v > 0 else log_sums.min()   # the sum with the largest s^v
+        return p_max * np.exp(v * (log_sums - top))
 
 
 def apply_power_control(plan: ServicePlan, dep: Deployment, v: float, p_max: float) -> ServicePlan:

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-import cellfree_sim as cf
 from cellfree_sim.beamforming import (
     Scheme,
     assemble_ltmmse,
@@ -20,22 +19,28 @@ from cellfree_sim.beamforming import (
     stage2_all,
     statistics_pass,
 )
-from cellfree_sim.channel import pair_geometry, sample_channels
+from cellfree_sim.channel import (
+    build_channel_stats,
+    local_scattering_covariance,
+    los_signature,
+    pair_geometry,
+    sample_channels,
+)
 from cellfree_sim.estimation import PilotEstimator, error_statistics_check
 from cellfree_sim.evaluation import MonteCarloBudgets, evaluate_schemes
 from cellfree_sim.experiments import config_from_dict, run_experiment
-from cellfree_sim.scenario import assign_pilots_and_clusters, deploy
+from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
 
 PASS = "ACCEPTANCE {}: PASS ({:.1f} s) - {}"
 
 
 def small_instance(seed, kappa_override, tau_p=2):
-    cfg = cf.AreaConfig(side_length_m=400.0, ap_count=6, ue_count=4, antennas_per_ap=2,
-                        pilot_count=tau_p, pilot_power_w=0.1)
+    cfg = AreaConfig(side_length_m=400.0, ap_count=6, ue_count=4, antennas_per_ap=2,
+                     pilot_count=tau_p, pilot_power_w=0.1)
     dep = deploy(cfg, np.random.default_rng(seed))
     plan = assign_pilots_and_clusters(dep, cfg)
-    stats = cf.build_channel_stats(dep, cfg, np.random.default_rng(seed + 1000),
-                                   kappa_override=kappa_override)
+    stats = build_channel_stats(dep, cfg, np.random.default_rng(seed + 1000),
+                                kappa_override=kappa_override)
     return cfg, dep, plan, stats
 
 
@@ -198,11 +203,11 @@ def test_criterion_5_density_trend():
 
 def test_criterion_6_estimator_consistency():
     start = time.time()
-    cfg = cf.AreaConfig(side_length_m=300.0, ap_count=3, ue_count=2, antennas_per_ap=2,
-                        pilot_count=1, pilot_power_w=0.1)
+    cfg = AreaConfig(side_length_m=300.0, ap_count=3, ue_count=2, antennas_per_ap=2,
+                     pilot_count=1, pilot_power_w=0.1)
     dep = deploy(cfg, np.random.default_rng(60))
     plan = assign_pilots_and_clusters(dep, cfg)
-    stats = cf.build_channel_stats(dep, cfg, np.random.default_rng(61))
+    stats = build_channel_stats(dep, cfg, np.random.default_rng(61))
     assert plan.copilot_sets[0] == frozenset({0, 1})  # contaminated pair
 
     report = error_statistics_check(PilotEstimator(stats, plan, cfg), 100_000,
@@ -218,8 +223,8 @@ def test_criterion_6_estimator_consistency():
 
 def test_criterion_7_covariance_synthesis():
     start = time.time()
-    cfg = cf.AreaConfig(side_length_m=1000.0, ap_count=25, ue_count=8, antennas_per_ap=2,
-                        pilot_count=4, pilot_power_w=0.1)
+    cfg = AreaConfig(side_length_m=1000.0, ap_count=25, ue_count=8, antennas_per_ap=2,
+                     pilot_count=4, pilot_power_w=0.1)
     dep = deploy(cfg, np.random.default_rng(70))
     geom = pair_geometry(dep, cfg)
 
@@ -234,8 +239,8 @@ def test_criterion_7_covariance_synthesis():
     assert diag_err < 1e-6
     assert eig_floor_ok
 
-    point = cf.local_scattering_covariance(0.8, 0.35, 4, sigma=1e-9)
-    steer = cf.los_signature(0.8, 0.35, 4)
+    point = local_scattering_covariance(0.8, 0.35, 4, sigma=1e-9)
+    steer = los_signature(0.8, 0.35, 4)
     frob = np.linalg.norm(point - np.outer(steer, steer.conj()))
     assert frob < 1e-6
 
@@ -300,7 +305,7 @@ def test_criterion_9_worker_count_determinism(tmp_path):
     bodies = []
     for workers in (1, 2, 8):
         cfg = config_from_dict({**payload, "out_dir": str(tmp_path / f"w{workers}")})
-        _, path = cf.run_experiment(cfg, threads=workers)
+        _, path = run_experiment(cfg, threads=workers)
         bodies.append(path.read_bytes().split(b"\n", 1)[1])
     elapsed = time.time() - start
     assert bodies[0] == bodies[1] == bodies[2]

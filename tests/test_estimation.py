@@ -82,23 +82,32 @@ class TestErrorCovariance:
                 gap = stats.nlos_cov[k, l] - est.err_cov[k, l]
                 assert np.linalg.eigvalsh(gap).min() >= -tol
 
-    def test_batched_factorizations_match_a_per_pair_loop(self):
+    @staticmethod
+    def _instance():
         cfg = AreaConfig(side_length_m=400.0, ap_count=4, ue_count=5, antennas_per_ap=3,
                          pilot_count=2, pilot_power_w=0.1)
         dep = deploy(cfg, np.random.default_rng(4))
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(54))
-        est = PilotEstimator(stats, plan, cfg)
+        return cfg, plan, stats, PilotEstimator(stats, plan, cfg)
+
+    def test_batched_factorizations_match_a_per_pair_loop(self):
+        cfg, plan, stats, est = self._instance()
 
         tau_p = plan.pilot_count
+        psi = np.empty_like(est.psi)
+        psi[:] = cfg.noise_power_w * np.eye(cfg.antennas_per_ap)
+        for i in range(cfg.ue_count):
+            psi[plan.pilot_of_ue[i]] += plan.pilot_powers_w[i] * tau_p * stats.nlos_cov[i]
+        np.testing.assert_array_equal(est.psi, psi)
+
         gain = np.zeros_like(est.gain)
         err_cov = np.zeros_like(est.err_cov)
         for l in range(cfg.ap_count):
-            factors = [cho_factor(est.psi[t, l]) for t in range(tau_p)]
             for k in range(cfg.ue_count):
                 eta = plan.pilot_powers_w[k]
                 cov = stats.nlos_cov[k, l]
-                solved = cho_solve(factors[plan.pilot_of_ue[k]], cov)
+                solved = np.linalg.solve(est.psi[plan.pilot_of_ue[k], l], cov)
                 gain[k, l] = np.sqrt(eta) * solved.conj().T
                 err = cov - eta * tau_p * (solved.conj().T @ cov)
                 err_cov[k, l] = 0.5 * (err + err.conj().T)
@@ -106,6 +115,20 @@ class TestErrorCovariance:
         np.testing.assert_array_equal(est.err_cov, err_cov)
         np.testing.assert_array_equal(
             est.z_matrices, np.einsum("k,klnm->lnm", plan.powers_w, err_cov))
+
+    def test_gain_and_error_covariance_match_a_cholesky_oracle(self):
+        # scipy's Cholesky solve is an independent oracle for the LU solve
+        cfg, plan, stats, est = self._instance()
+        tau_p = plan.pilot_count
+        for l in range(cfg.ap_count):
+            for k in range(cfg.ue_count):
+                eta = plan.pilot_powers_w[k]
+                cov = stats.nlos_cov[k, l]
+                solved_h = cho_solve(cho_factor(est.psi[plan.pilot_of_ue[k], l]), cov).conj().T
+                err = cov - eta * tau_p * (solved_h @ cov)
+                np.testing.assert_allclose(est.gain[k, l], np.sqrt(eta) * solved_h, rtol=1e-12)
+                np.testing.assert_allclose(est.err_cov[k, l], 0.5 * (err + err.conj().T),
+                                           rtol=1e-12)
 
     def test_copilot_ue_never_improves_estimation(self, rng):
         # adding a contaminating UE cannot reduce the error covariance trace

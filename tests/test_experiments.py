@@ -423,6 +423,18 @@ class TestCli:
         assert main(["--config", write_config(tmp_path, payload)]) == 2
         assert "ap_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exponent", [50.0, -50.0])
+    def test_extreme_power_control_exponent_runs(self, tmp_path, exponent):
+        # sums**v over- or underflows at |v| = 50, which once ended in a LinAlgError
+        payload = {"experiment": "cdf",
+                   "area": {**TINY_AREA, "ap_count": 9, "ue_count": 4, "antennas_per_ap": 2},
+                   "setups": 1, "stat_budget": 20, "eval_budget": 20,
+                   "pc_exponent": exponent, "out_dir": str(tmp_path / "r")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 0
+        lines = (tmp_path / "r" / "cdf.csv").read_text().splitlines()[2:]
+        values = [float(value) for line in lines for value in line.split(",")[6:8]]
+        assert values and all(math.isfinite(value) for value in values)
+
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch):
         payload = {"experiment": "cdf", "area": TINY_AREA, "setups": 1,
                    "stat_budget": 10, "eval_budget": 10}

@@ -206,6 +206,23 @@ class TestPowerControl:
         assert np.all(plan.powers_w <= cfg.p_max_w * (1 + 1e-12))
         assert np.ptp(products) / products.mean() < 1e-12
 
+    @pytest.mark.parametrize("v", [50.0, -50.0, 1e6, -1e6, 1e308])
+    def test_extreme_exponent_keeps_powers_finite(self, v):
+        gains = np.array([[-95.0, -100.0], [-70.0, -120.0], [-80.0, -60.0]])
+        clusters = [np.array([0, 1]), np.array([0]), np.array([1])]
+        p = power_control(gains, clusters, v=v, p_max=0.1)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+        assert p.max() == 0.1
+        assert p[2 if v > 0 else 0] == 0.1
+
+    @pytest.mark.parametrize("v, expected", [(0.0, [0.1, 0.1]), (1.0, [0.0, 0.1])])
+    def test_zero_gain_with_nonnegative_exponent(self, v, expected):
+        gains = np.array([[-np.inf], [-80.0]])
+        clusters = [np.array([0]), np.array([0])]
+        with np.errstate(all="raise"):
+            p = power_control(gains, clusters, v=v, p_max=0.1)
+        assert p.tolist() == expected
+
     def test_zero_gain_with_negative_exponent_rejected(self):
         with pytest.raises(ConfigError):
             power_control(np.array([[-np.inf]]), [np.array([0])], v=-1.0, p_max=0.1)
