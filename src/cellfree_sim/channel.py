@@ -4,19 +4,19 @@ Each UE-AP pair gets a Rician decomposition: a deterministic steering vector
 scaled by the line-of-sight share of the pair gain, a fixed phase drawn once
 per network setup, and a spatially correlated Gaussian scattered component.
 The scattering covariance follows the Gaussian local scattering model: the
-multipath angles are jointly Gaussian around the nominal azimuth/elevation,
-truncated at 8 standard deviations and renormalized. Elevation folds modulo
-pi (a ray below the horizon is placed at pi minus its depth); azimuth enters
-only through the 2 pi-periodic sin, so its window is not split at +-pi.
-Since cos(pi - t) = -cos(t), a ray folded from depth t has minus the phase of
-the ray at height t, so the quadrature evaluates one phase table per pair for
-both elevation pieces and conjugates the lower piece's sums.
+multipath angles are independent Gaussians around the nominal
+azimuth/elevation. Azimuth enters only through the 2 pi-periodic sin, so its
+Gaussian stays untruncated and a Gauss-Hermite rule integrates it. Elevation
+is truncated at 8 standard deviations, renormalized, integrated by a
+Gauss-Legendre rule and folded modulo pi (a ray below the horizon is placed
+at pi minus its depth). Since cos(pi - t) = -cos(t), a ray folded from depth
+t has minus the phase of the ray at height t, so the quadrature evaluates one
+phase table per pair for both elevation pieces and conjugates the lower
+piece's sums.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ ANGLE_SPREAD_RAD = np.radians(5.0)
 ANTENNA_SPACING = 0.5  # in wavelengths
 _TRUNCATION_SIGMAS = 8.0
 QUAD_TOL = 1e-8
-QUAD_MAX_NODES = 256  # per angle axis
+QUAD_MAX_NODES = 256  # elevation nodes; azimuth takes half as many
 PSD_TRACE_TOL = 1e-10
 # Quadrature nodes per pass (at least one pair's); bounds the quadrature's memory.
 _NODES_PER_PASS = 2 ** 15
@@ -70,29 +70,30 @@ def los_signature(azimuth, elevation, n_antennas: int) -> np.ndarray:
 
 
 def _pairs_per_pass(n: int) -> int:
-    """Pairs per pass of `_lag_rows` at n nodes per axis (n x n nodes per pair)."""
-    return max(1, _NODES_PER_PASS // (n * n))
+    """Pairs per pass of `_lag_rows` at level n (n // 2 x n nodes per pair)."""
+    return max(1, _NODES_PER_PASS // (n // 2 * n))
 
 
 def _lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
               n_antennas: int) -> np.ndarray:
     """First Toeplitz rows, (pairs, n_antennas), of one quadrature level.
 
-    Azimuth takes n nodes on its +-8 sigma window. Elevation is split at 0:
-    the upper piece [max(lo, 0), hi] takes n nodes t with weight
-    g(t - el), and the piece below the horizon is folded onto the same nodes.
-    Its ray at depth t folds to pi - t, and cos(pi - t) = -cos(t), so its
-    phase is minus the phase at +t: it reuses the upper piece's phase table
-    with weight g(t + el) for t <= -lo (0 elsewhere, and everywhere when
+    Azimuth is an untruncated Gaussian, integrated by n // 2 Gauss-Hermite
+    nodes at offsets sigma * x. Elevation keeps its +-8 sigma window, split at
+    0: the upper piece [max(lo, 0), hi] takes n Gauss-Legendre nodes t with
+    weight g(t - el), and the piece below the horizon is folded onto the same
+    nodes. Its ray at depth t folds to pi - t, and cos(pi - t) = -cos(t), so
+    its phase is minus the phase at +t: it reuses the upper piece's phase
+    table with weight g(t + el) for t <= -lo (0 elsewhere, and everywhere when
     lo >= 0), and its lag sums are complex conjugates. Row m is therefore
-    az_w^T P^m w_up + conj(az_w^T P^m w_down) over one n x n table P. The
-    weights leave out constant factors, which the division by the total
+    az_w^T P^m w_up + conj(az_w^T P^m w_down) over one n // 2 x n table P.
+    The weights leave out constant factors, which the division by the total
     mass removes anyway; lag 0 is exactly 1.
     """
+    az_x, az_w = np.polynomial.hermite_e.hermegauss(n // 2)
+    az_offset = sigma * az_x
     x, w = np.polynomial.legendre.leggauss(n)
     half = _TRUNCATION_SIGMAS * sigma
-    az_offset = half * x
-    az_w = w * np.exp(-0.5 * (az_offset / sigma) ** 2)
     lo, hi = (elevation - half)[:, None], (elevation + half)[:, None]
     cut = np.maximum(lo, 0.0)
     height = 0.5 * (cut + hi) + 0.5 * (hi - cut) * x     # (P, n) nodes on [cut, hi]
@@ -125,36 +126,6 @@ def _lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
     return rows
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _threaded_lag_rows(azimuth: np.ndarray, elevation: np.ndarray, sigma: float, n: int,
-                       n_antennas: int) -> np.ndarray:
-    """`_lag_rows` over contiguous shares of the pairs, one thread per CPU.
-
-    Each pair's row depends on that pair alone, so the rows are the same for
-    any split. The numpy calls inside release the GIL; the calling thread
-    computes the first share itself, and a level that fits in one pass
-    starts no thread.
-    """
-    passes = -(-len(azimuth) // _pairs_per_pass(n))
-    shares = min(_cpu_count(), passes)
-    if shares <= 1:
-        return _lag_rows(azimuth, elevation, sigma, n, n_antennas)
-    bounds = np.linspace(0, len(azimuth), shares + 1).astype(int)
-    parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(max_workers=shares - 1) as pool:
-        futures = [pool.submit(_lag_rows, azimuth[p], elevation[p], sigma, n, n_antennas)
-                   for p in parts[1:]]
-        first = _lag_rows(azimuth[parts[0]], elevation[parts[0]], sigma, n, n_antennas)
-        return np.concatenate([first] + [f.result() for f in futures])
-
-
 def _toeplitz(rows: np.ndarray) -> np.ndarray:
     """Hermitian Toeplitz matrices: entry (x, y) is row[x - y], conjugated for x < y."""
     lag = np.subtract.outer(np.arange(rows.shape[-1]), np.arange(rows.shape[-1]))
@@ -168,9 +139,11 @@ def local_scattering_covariance(azimuth, elevation, n_antennas: int,
 
     Elementwise over the angle arrays; returns angles.shape + (N, N). Entry
     (x, y) is the expectation of exp(j 2 pi spacing (x-y) sin(az) cos(el)) over
-    the truncated Gaussian angles, from a tensor-product Gauss-Legendre rule.
-    Per pair, the node count doubles from 16 until two successive levels agree
-    to QUAD_TOL in Frobenius norm; NumericalError past QUAD_MAX_NODES per axis.
+    the Gaussian angles, from a tensor-product rule: n // 2 Gauss-Hermite
+    nodes for the untruncated azimuth, and n Gauss-Legendre nodes for the
+    elevation truncated at +-8 sigma and folded at the horizon. Per pair, n
+    doubles from 16 until two successive levels agree to QUAD_TOL in Frobenius
+    norm; NumericalError past QUAD_MAX_NODES.
     Each result has a unit diagonal and is PSD by construction (a positive
     combination of steering-vector outer products).
     """
@@ -189,7 +162,7 @@ def local_scattering_covariance(azimuth, elevation, n_antennas: int,
     prev = None
     n = 16
     while active.size and n <= QUAD_MAX_NODES:
-        level = _threaded_lag_rows(azimuth[active], elevation[active], sigma, n, n_antennas)
+        level = _lag_rows(azimuth[active], elevation[active], sigma, n, n_antennas)
         if prev is not None:
             done = np.linalg.norm(_toeplitz(level - prev), axis=(1, 2)) < QUAD_TOL
             rows[active[done]] = level[done]
@@ -198,7 +171,7 @@ def local_scattering_covariance(azimuth, elevation, n_antennas: int,
         n *= 2
     if active.size:
         raise NumericalError(
-            f"scattering covariance quadrature did not converge within {QUAD_MAX_NODES} nodes per axis"
+            f"scattering covariance quadrature did not converge within {QUAD_MAX_NODES} elevation nodes"
         )
     return _toeplitz(rows).reshape(shape + (n_antennas, n_antennas))
 

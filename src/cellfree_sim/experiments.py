@@ -125,8 +125,8 @@ def parse_config(path) -> ExperimentConfig:
     is collected and reported in one error."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text) if text.strip() else {}
@@ -358,12 +358,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Result
 
 
 def write_csv(cfg: ExperimentConfig, rows: list[ResultRow]) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{cfg.experiment}.csv"
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     lines = [f"# cellfree-sim generated {stamp}", CSV_HEADER]
     lines.extend(row.to_csv() for row in rows)
     try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write results to {path}: {exc}") from exc

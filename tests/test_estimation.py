@@ -6,7 +6,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from cellfree_sim.channel import build_channel_stats, sample_channels
 from cellfree_sim.errors import ConfigError
-from cellfree_sim.estimation import PilotEstimator, error_statistics_check
+from cellfree_sim.estimation import PilotEstimator
+from cellfree_sim.evaluation import error_statistics_check
 from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
 
 from conftest import build_instance, make_cfg, make_plan, make_stats
@@ -183,8 +184,8 @@ class TestEstimates:
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
-        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 30_000,
-                                        np.random.default_rng(10), min_draws=1000)
+        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 30_000, 10,
+                                        min_draws=1000)
         assert report.within(5.0), report
         # shared pilot signal induces visible estimate correlation
         assert report.copilot_pairs == ((0, 1),)
@@ -196,8 +197,8 @@ class TestEstimates:
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9), kappa_override=np.inf)
-        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 2000,
-                                        np.random.default_rng(10), min_draws=1000)
+        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 2000, 10,
+                                        min_draws=1000)
         # the error and cross moments vanish identically; the mean deviation
         # is pure accumulation roundoff
         assert report.max_mean_dev_se < 1e-3
@@ -210,8 +211,8 @@ class TestEstimates:
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
-        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 5000,
-                                        np.random.default_rng(10), min_draws=1000)
+        report = error_statistics_check(PilotEstimator(stats, plan, cfg), 5000, 10,
+                                        min_draws=1000)
         assert report.within(5.0)
         assert report.copilot_pairs == ()
 
@@ -222,4 +223,4 @@ class TestEstimates:
         plan = assign_pilots_and_clusters(dep, cfg)
         stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
         with pytest.raises(ConfigError):
-            error_statistics_check(PilotEstimator(stats, plan, cfg), 10, np.random.default_rng(0))
+            error_statistics_check(PilotEstimator(stats, plan, cfg), 10, 0)

@@ -1,5 +1,6 @@
 """Spectral-efficiency bounds and the Monte Carlo engine."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -158,6 +159,28 @@ class TestEngine:
         prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
         assert prelog == pytest.approx((200 - 1) / 200)
         assert rep.uatf.se[0] == pytest.approx(prelog * np.log2(1 + snr), rel=1e-10)
+
+    def test_zero_scattered_pair_inside_rician_network(self):
+        # one serving pair without scattered power: nothing to estimate there,
+        # while every other pair stays Rician
+        cfg, plan, stats = build_instance(10)
+        k, l = 0, int(plan.cluster_of_ue[0][0])
+        nlos_cov, cov_factor = stats.nlos_cov.copy(), stats.cov_factor.copy()
+        nlos_cov[k, l] = cov_factor[k, l] = 0.0
+        stats = dataclasses.replace(stats, nlos_cov=nlos_cov, cov_factor=cov_factor)
+
+        estimator = PilotEstimator(stats, plan, cfg)
+        assert not np.any(estimator.gain[k, l]) and not np.any(estimator.err_cov[k, l])
+        assert np.any(estimator.gain[k]) and np.any(estimator.err_cov[k])
+        _, est = next(estimated_draws(estimator, 32, np.random.SeedSequence(4)))
+        phased = stats.phased_mean()[l, :, k]
+        np.testing.assert_array_equal(est.estimates[:, l, :, k],
+                                      np.broadcast_to(phased, (32, len(phased))))
+
+        budgets = MonteCarloBudgets(stat_draws=50, eval_draws=60)
+        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), budgets, 23)
+        for rep in reports.values():
+            assert np.all(np.isfinite(rep.uatf.se)) and np.all(np.isfinite(rep.cd.se))
 
     def test_cd_dominates_uatf_for_mmse(self):
         cfg, plan, stats = build_instance(9)

@@ -416,6 +416,16 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["--config", write_config(tmp_path, "{}")]) == 2
         assert main(["--config", str(tmp_path / "missing.json")]) == 2
+        not_utf8 = tmp_path / "utf16.json"
+        not_utf8.write_bytes(b'\xff\xfe{"experiment": "cdf"}')
+        assert main(["--config", str(not_utf8)]) == 2
+        # an output directory that is a regular file, or lies under one
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        for out_dir in (blocker, blocker / "sub"):
+            payload = {"experiment": "cdf", "area": TINY_AREA, "setups": 1,
+                       "stat_budget": 10, "eval_budget": 10, "out_dir": str(out_dir)}
+            assert main(["--config", write_config(tmp_path, payload)]) == 2
 
     def test_huge_count_exits_with_config_error(self, tmp_path, capsys):
         payload = {"experiment": "cdf", "area": {**TINY_AREA, "ap_count": HUGE_INT},
