@@ -36,19 +36,15 @@ _NODES_PER_PASS = 2 ** 15
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Immutable large-scale channel state for one network setup."""
+    """Immutable large-scale channel state for one network setup.
 
-    los_mean: np.ndarray    # (K, L, N) complex, deterministic component before phase
-    los_phase: np.ndarray   # (K, L) radians, fixed for the whole setup
+    `los_mean` is the LoS component with the setup's fixed phase applied, so
+    every coherence block of the setup shares it as the channel mean.
+    """
+
+    los_mean: np.ndarray    # (K, L, N) complex LoS component, fixed phase included
     nlos_cov: np.ndarray    # (K, L, N, N) Hermitian PSD scattered-power covariance
-    kappa: np.ndarray       # (K, L) Rician factors
-    beta_lin: np.ndarray    # (K, L) linear pair gains
     cov_factor: np.ndarray  # (K, L, N, N) factor F with F F^H = nlos_cov
-
-    def phased_mean(self) -> np.ndarray:
-        """LoS component including the fixed phase, laid out (L, N, K)."""
-        phased = self.los_mean * np.exp(1j * self.los_phase)[:, :, None]
-        return np.ascontiguousarray(phased.transpose(1, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,8 @@ def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
     `kappa_override` uniformly for all pairs. The pair gain splits between
     the deterministic and scattered parts in the ratio kappa : 1, so
     trace(cov) + |mean|^2 = N * beta for every pair. Kappa values of 0 and
-    inf give the pure-NLoS and pure-LoS limits exactly.
+    inf give the pure-NLoS and pure-LoS limits exactly. The LoS mean is
+    formed once here with its fixed phase from `phases` (K, L) applied.
     """
     K, L, N = geom.steering.shape
     beta_lin = 10.0 ** (dep.gains_db / 10.0)
@@ -240,7 +237,8 @@ def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
         los_share = np.where(np.isinf(kappa), 1.0, kappa / (kappa + 1.0))
         nlos_share = np.where(np.isinf(kappa), 0.0, 1.0 / (kappa + 1.0))
 
-    los_mean = np.sqrt(beta_lin * los_share)[:, :, None] * geom.steering
+    los_mean = (np.sqrt(beta_lin * los_share)[:, :, None] * geom.steering
+                * np.exp(1j * phases)[:, :, None])
     nlos_cov = np.zeros((K, L, N, N), dtype=complex)
     cov_factor = np.zeros((K, L, N, N), dtype=complex)
     scale = beta_lin * nlos_share
@@ -255,14 +253,7 @@ def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
         factors = np.array([factor for _, factor in repaired])
     nlos_cov[scattered], cov_factor[scattered] = covs, factors
 
-    return ChannelStats(
-        los_mean=los_mean,
-        los_phase=phases,
-        nlos_cov=nlos_cov,
-        kappa=kappa,
-        beta_lin=beta_lin,
-        cov_factor=cov_factor,
-    )
+    return ChannelStats(los_mean=los_mean, nlos_cov=nlos_cov, cov_factor=cov_factor)
 
 
 def build_channel_stats(dep: Deployment, cfg: AreaConfig, rng: np.random.Generator,
@@ -286,5 +277,5 @@ def sample_channels(stats: ChannelStats, rng: np.random.Generator, n_draws: int 
     z = rng.standard_normal((n_draws, K, L, N)) + 1j * rng.standard_normal((n_draws, K, L, N))
     z *= np.sqrt(0.5)
     channels = stats.cov_factor @ z.transpose(1, 2, 3, 0)    # (K, L, N, draws)
-    channels += stats.phased_mean().transpose(2, 0, 1)[..., None]
+    channels += stats.los_mean[..., None]
     return ChannelDraw(true_channels=np.ascontiguousarray(channels.transpose(3, 1, 2, 0)))

@@ -4,7 +4,6 @@
              [--threads N]
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures.
-The CELLFREE_SIM_THREADS environment variable overrides the worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -20,8 +18,6 @@ from .errors import ConfigError, NumericalError
 from .experiments import EXPERIMENTS, parse_config, run_experiment
 
 log = logging.getLogger(__name__)
-
-THREADS_ENV_VAR = "CELLFREE_SIM_THREADS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--experiment", choices=EXPERIMENTS, default=None,
                         help="override the configured experiment")
     parser.add_argument("--threads", type=int, default=1,
-                        help=f"parallel setup workers (env {THREADS_ENV_VAR} overrides)")
+                        help="parallel setup workers")
     return parser
 
 
@@ -43,15 +39,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
 
-    threads = args.threads
-    env_threads = os.environ.get(THREADS_ENV_VAR)
-    if env_threads is not None:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            print(f"error: {THREADS_ENV_VAR}={env_threads!r} is not an integer", file=sys.stderr)
-            return 2
-    if threads < 1:
+    if args.threads < 1:
         print("error: thread count must be >= 1", file=sys.stderr)
         return 2
 
@@ -65,7 +53,7 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
-        rows, path = run_experiment(cfg, threads=threads)
+        rows, path = run_experiment(cfg, threads=args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -61,11 +61,12 @@ class PilotEstimator:
         self.err_cov = 0.5 * (err + err.conj().swapaxes(-1, -2))
 
         self.z_matrices = np.einsum("k,klnm->lnm", plan.powers_w, self.err_cov)
-        self._phased_mean = stats.phased_mean()          # (L, N, K)
         # coefficient matrix: column t holds sqrt(eta_i) * tau_p on the UEs of pilot t
         coef = np.zeros((K, tau_p))
         coef[np.arange(K), plan.pilot_of_ue] = np.sqrt(plan.pilot_powers_w) * tau_p
         self._pilot_coef = coef
+        # decorrelated pilot signal of the LoS means, (L, N, tau_p)
+        self._mean_received = stats.los_mean.transpose(1, 2, 0) @ coef
         self._ues_on_pilot = [np.flatnonzero(plan.pilot_of_ue == t) for t in range(tau_p)]
 
     def _pilot_sums(self, H: np.ndarray) -> np.ndarray:
@@ -91,11 +92,10 @@ class PilotEstimator:
         noise = noise_scale * (
             rng.standard_normal((R, tau_p, L, N)) + 1j * rng.standard_normal((R, tau_p, L, N))
         )
-        mean_received = self._phased_mean @ self._pilot_coef   # (L, N, tau_p)
-        innovation = received + noise.transpose(0, 2, 3, 1) - mean_received
+        innovation = received + noise.transpose(0, 2, 3, 1) - self._mean_received
 
         per_ue = innovation[..., self.plan.pilot_of_ue]   # (R, L, N, K)
         estimates = self.gain @ per_ue.transpose(3, 1, 2, 0)  # (K, L, N, R)
-        estimates += self._phased_mean.transpose(2, 0, 1)[..., None]
+        estimates += self.stats.los_mean[..., None]
         estimates = np.ascontiguousarray(estimates.transpose(3, 1, 2, 0))
         return EstimateSet(estimates=estimates, z_matrices=self.z_matrices)

@@ -46,16 +46,6 @@ N_BATCHES = 10
 
 
 @dataclass(frozen=True)
-class MonteCarloBudgets:
-    stat_draws: int = 500
-    eval_draws: int = 500
-
-    def validate(self) -> None:
-        if self.stat_draws < 2 or self.eval_draws < 2:
-            raise ConfigError("draw budgets must be at least 2")
-
-
-@dataclass(frozen=True)
 class BoundEstimate:
     """Per-UE spectral efficiencies of one bound with batch diagnostics."""
 
@@ -67,7 +57,6 @@ class BoundEstimate:
 class SeReport:
     """Evaluation result of one scheme on one setup."""
 
-    scheme: Scheme
     uatf: BoundEstimate
     cd: BoundEstimate
     uatf_signal: np.ndarray        # (K,) p_k |E g_kk|^2
@@ -110,8 +99,11 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
 
     `gains[r, k, i]` is the combined channel of UE i through UE k's combiner,
     `vnorm2[r, k]` the squared combiner norm. Sample means replace the
-    expectations; if Monte Carlo noise drives the fluctuation term negative it
-    is clamped at zero and the UE is flagged.
+    expectations. Both moments come from the same draws, so the fluctuation
+    interference - signal = p_k (mean|g_kk|^2 - |mean g_kk|^2)
+    + sum_{i != k} p_i mean|g_ki|^2 is >= 0 by Jensen's inequality; only
+    rounding can make it negative (a UE whose own gain is constant across
+    draws). It is then clamped at zero and the UE is flagged.
     """
     R, K, _ = gains.shape
     if R < 2:
@@ -167,17 +159,18 @@ def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
 
 
 def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
-                     schemes, budgets: MonteCarloBudgets,
+                     schemes, stat_draws: int, eval_draws: int,
                      stream) -> dict[Scheme, SeReport]:
     """Run the full pipeline for several schemes on shared draws.
 
-    The statistics budget feeds the LSFD weights and the stage-two coupling
-    matrices; the evaluation budget feeds the SE estimates. Both use draw
-    streams keyed by (role, chunk index), so results are reproducible for any
-    worker layout, and all schemes see identical draws (paired comparison).
-    One `PilotEstimator` serves both budgets.
+    `stat_draws` feed the LSFD weights and the stage-two coupling matrices;
+    `eval_draws` feed the SE estimates. Both budgets must be at least 2 and
+    use draw streams keyed by (role, chunk index), so results are
+    reproducible for any worker layout, and all schemes see identical draws
+    (paired comparison). One `PilotEstimator` serves both budgets.
     """
-    budgets.validate()
+    if stat_draws < 2 or eval_draws < 2:
+        raise ConfigError("draw budgets must be at least 2")
     schemes = [Scheme(s) for s in schemes]
     if not schemes:
         raise ConfigError("at least one scheme required")
@@ -188,15 +181,13 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     need_pi = Scheme.LTMMSE in schemes
     need_local = need_lsfd or need_pi
     estimator = PilotEstimator(stats, plan, cfg)
-    stat_used = 0
     weights = stage2_full = None
     regularized: dict[Scheme, tuple[int, ...]] = {s: () for s in schemes}
     if need_local:
         pi, lsfd = statistics_pass(
-            estimator, budgets.stat_draws, subsequence(stream, ROLE_STATISTICS),
+            estimator, stat_draws, subsequence(stream, ROLE_STATISTICS),
             need_pi=need_pi, need_lsfd=need_lsfd,
         )
-        stat_used = budgets.stat_draws
         if need_lsfd:
             weights, flagged = lsfd_weights(lsfd, plan.powers_w, sigma2)
             regularized[Scheme.LMMSE_LSFD] = flagged
@@ -210,7 +201,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     vnorms = {s: [] for s in schemes}
 
     eval_seq = subsequence(stream, ROLE_EVALUATION)
-    for draws, est in estimated_draws(estimator, budgets.eval_draws, eval_seq):
+    for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
         R, L, N, K = est.estimates.shape
         local = lmmse_local_matrices(est, plan, sigma2) if need_local else None
 
@@ -238,14 +229,13 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
         uatf, extras = uatf_se(g, vnorm2, plan.powers_w, sigma2, prelog)
         cd = cd_se(gh, quad, vnorm2, plan.powers_w, sigma2, prelog)
         reports[scheme] = SeReport(
-            scheme=scheme,
             uatf=uatf,
             cd=cd,
             uatf_signal=extras["signal"],
             uatf_interference=extras["interference"],
             uatf_noise=extras["noise"],
-            draw_count=budgets.eval_draws,
-            stat_draw_count=stat_used if scheme is not Scheme.MMSE else 0,
+            draw_count=eval_draws,
+            stat_draw_count=stat_draws if scheme is not Scheme.MMSE else 0,
             clamped_ues=extras["clamped_ues"],
             regularized_ues=regularized[scheme],
         )
@@ -283,7 +273,7 @@ def error_statistics_check(estimator: PilotEstimator, n_draws: int, stream,
         raise ConfigError(f"need at least {min_draws} draws for stable diagnostics")
     stats, plan = estimator.stats, estimator.plan
     K, L, N = stats.los_mean.shape
-    phased = estimator._phased_mean                      # (L, N, K)
+    phased = stats.los_mean.transpose(1, 2, 0)           # (L, N, K)
 
     sum_est = np.zeros((L, N, K), dtype=complex)
     sumsq_est = np.zeros((L, N, K))
@@ -293,7 +283,8 @@ def error_statistics_check(estimator: PilotEstimator, n_draws: int, stream,
     sum_cross = np.zeros((K, L, N, N), dtype=complex)
     sumsq_cross = np.zeros((K, L, N, N))
     sum_innov_outer = np.zeros((K, L, N, N), dtype=complex)
-    pairs = sorted({tuple(sorted((k, i))) for k in range(K) for i in plan.copilot_sets[k] if i != k})
+    pilot = plan.pilot_of_ue
+    pairs = [(k, i) for k in range(K) for i in range(k + 1, K) if pilot[k] == pilot[i]]
     sum_pair = np.zeros((max(len(pairs), 1), L, N, N), dtype=complex)
 
     for draws, est in estimated_draws(estimator, n_draws, stream):

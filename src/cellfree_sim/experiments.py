@@ -31,7 +31,7 @@ from .beamforming import Scheme
 from .channel import build_channel_stats  # noqa: F401  (perfbench/tracing.py wraps it)
 from .channel import pair_geometry, stats_from_geometry
 from .errors import ConfigError
-from .evaluation import MonteCarloBudgets, SeReport, evaluate_schemes
+from .evaluation import SeReport, evaluate_schemes
 from .rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
 from .scenario import AreaConfig, apply_power_control, assign_pilots_and_clusters, deploy
 from .scenario import MAX_COUNT, is_integer, is_number
@@ -46,18 +46,12 @@ EXPERIMENTS = ("kappa_sweep", "density_sweep", "cdf")
 # the reference large-network scale (100 APs, 40 UEs, 4 antennas, 5 pilots)
 # is opted into through the config file.
 DESK_AREA_DEFAULTS = {
-    "side_length_m": 1000.0,
+    **dataclasses.asdict(AreaConfig()),
     "ap_count": 25,
     "ue_count": 8,
     "antennas_per_ap": 2,
-    "height_diff_m": 11.0,
-    "carrier_freq_mhz": 5000.0,
-    "shadow_std_db": 8.0,
     "pilot_count": 4,
-    "coherence_symbols": 200,
-    "p_max_w": 0.1,
     "pilot_power_w": None,  # defaults to p_max_w
-    "noise_power_w": 10 ** (-8.7) * 1e-3,
 }
 
 DEFAULT_KAPPA_GRID = (0.0, 1.0, 5.0, 20.0, 100.0)
@@ -81,9 +75,6 @@ class ExperimentConfig:
     eval_budget: int
     seed: int
     out_dir: Path
-
-    def budgets(self) -> MonteCarloBudgets:
-        return MonteCarloBudgets(stat_draws=self.stat_budget, eval_draws=self.eval_budget)
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,7 @@ def _setup_reports(cfg: ExperimentConfig, area: AreaConfig, setup: int,
     phases = substream(base, ROLE_PHASES).uniform(0.0, 2.0 * np.pi, size=dep.gains_db.shape)
     return [
         evaluate_schemes(stats_from_geometry(geom, dep, phases, kappa), plan, area,
-                         cfg.schemes, cfg.budgets(), base)
+                         cfg.schemes, cfg.stat_budget, cfg.eval_budget, base)
         for kappa in kappas
     ]
 
@@ -335,8 +326,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Result
 
     Tasks run on `min(threads, tasks)` workers, serially when that is 1;
     rows come out point by point, setups in order, whatever the scheduling.
+    The output directory is created before any setup runs, so an unusable
+    `out_dir` fails at once.
     """
     grid = _grid(cfg)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     tasks = [(area, setup, [kappa for _, kappa in points])
              for area, points in grid for setup in range(cfg.setups)]
     workers = min(threads, len(tasks))
@@ -363,7 +360,6 @@ def write_csv(cfg: ExperimentConfig, rows: list[ResultRow]) -> Path:
     lines = [f"# cellfree-sim generated {stamp}", CSV_HEADER]
     lines.extend(row.to_csv() for row in rows)
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write results to {path}: {exc}") from exc

@@ -104,7 +104,6 @@ class ServicePlan:
     """Pilot allocation, serving clusters and transmit powers for one drop."""
 
     pilot_of_ue: np.ndarray               # (K,) pilot index in [0, pilot_count)
-    copilot_sets: tuple[frozenset, ...]   # per UE, the UEs sharing its pilot (self included)
     cluster_of_ue: tuple[np.ndarray, ...]  # per UE, sorted indices of serving APs
     powers_w: np.ndarray                  # (K,) uplink data power
     pilot_powers_w: np.ndarray            # (K,) uplink pilot power
@@ -216,15 +215,11 @@ def assign_pilots_and_clusters(dep: Deployment, cfg: AreaConfig) -> ServicePlan:
         serving[winners, np.arange(L)] = True
     serving[np.arange(K), masters] = True
 
-    copilot_sets = tuple(
-        frozenset(np.flatnonzero(pilot_of_ue == pilot_of_ue[k]).tolist()) for k in range(K)
-    )
     clusters = tuple(np.flatnonzero(serving[k]) for k in range(K))
     full_power = np.full(K, cfg.p_max_w)
     pilot_power = np.full(K, cfg.pilot_power_w)
     return ServicePlan(
         pilot_of_ue=pilot_of_ue,
-        copilot_sets=copilot_sets,
         cluster_of_ue=clusters,
         powers_w=full_power,
         pilot_powers_w=pilot_power,

@@ -22,30 +22,22 @@ def make_cfg(L=2, K=2, N=2, tau_p=1, sigma2=0.1, p_max=1.0, eta=1.0, side=500.0,
     )
 
 
-def make_stats(los_mean, nlos_cov, phases=None, kappa=None):
-    """Channel statistics from explicit per-pair means and covariances."""
+def make_stats(los_mean, nlos_cov, phases=None):
+    """Channel statistics from explicit per-pair means and covariances.
+
+    `phases` (K, L), when given, rotate each pair's LoS mean by its fixed phase.
+    """
     los_mean = np.asarray(los_mean, dtype=complex)
     nlos_cov = np.asarray(nlos_cov, dtype=complex)
-    K, L, N = los_mean.shape
-    if phases is None:
-        phases = np.zeros((K, L))
-    if kappa is None:
-        kappa = np.ones((K, L))
+    K, L, _ = los_mean.shape
+    if phases is not None:
+        los_mean = los_mean * np.exp(1j * np.asarray(phases, dtype=float))[:, :, None]
     factors = np.zeros_like(nlos_cov)
     repaired = np.zeros_like(nlos_cov)
     for k in range(K):
         for l in range(L):
             repaired[k, l], factors[k, l] = _psd_factor(np.ascontiguousarray(nlos_cov[k, l]))
-    traces = np.einsum("klnn->kl", repaired).real
-    beta = (traces + np.sum(np.abs(los_mean) ** 2, axis=2)) / N
-    return ChannelStats(
-        los_mean=los_mean,
-        los_phase=np.asarray(phases, dtype=float),
-        nlos_cov=repaired,
-        kappa=np.asarray(kappa, dtype=float),
-        beta_lin=beta,
-        cov_factor=factors,
-    )
+    return ChannelStats(los_mean=los_mean, nlos_cov=repaired, cov_factor=factors)
 
 
 def make_plan(pilot_of_ue, clusters, powers=None, pilot_powers=None, pilot_count=None):
@@ -57,12 +49,8 @@ def make_plan(pilot_of_ue, clusters, powers=None, pilot_powers=None, pilot_count
         powers = np.ones(K)
     if pilot_powers is None:
         pilot_powers = np.ones(K)
-    copilot = tuple(
-        frozenset(np.flatnonzero(pilot_of_ue == pilot_of_ue[k]).tolist()) for k in range(K)
-    )
     return ServicePlan(
         pilot_of_ue=pilot_of_ue,
-        copilot_sets=copilot,
         cluster_of_ue=tuple(np.asarray(c, dtype=int) for c in clusters),
         powers_w=np.asarray(powers, dtype=float),
         pilot_powers_w=np.asarray(pilot_powers, dtype=float),

@@ -205,13 +205,16 @@ class TestBuildChannelStats:
         dep = deploy(cfg, np.random.default_rng(1))
         stats = build_channel_stats(dep, cfg, np.random.default_rng(2))
         total = np.einsum("klnn->kl", stats.nlos_cov).real + np.sum(np.abs(stats.los_mean) ** 2, axis=2)
-        np.testing.assert_allclose(total, cfg.antennas_per_ap * stats.beta_lin, rtol=1e-6)
+        beta = 10.0 ** (dep.gains_db / 10.0)
+        np.testing.assert_allclose(total, cfg.antennas_per_ap * beta, rtol=1e-6)
 
     def test_default_kappa_follows_distance_law(self):
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
         stats = build_channel_stats(dep, cfg, np.random.default_rng(2))
-        np.testing.assert_allclose(stats.kappa, rician_factor(dep.distances_3d), rtol=1e-12)
+        kappa = (np.sum(np.abs(stats.los_mean) ** 2, axis=2)
+                 / np.einsum("klnn->kl", stats.nlos_cov).real)
+        np.testing.assert_allclose(kappa, rician_factor(dep.distances_3d), rtol=1e-12)
 
     def test_zero_kappa_is_pure_nlos(self):
         cfg = small_cfg()
@@ -219,17 +222,18 @@ class TestBuildChannelStats:
         stats = build_channel_stats(dep, cfg, np.random.default_rng(2), kappa_override=0.0)
         assert np.all(stats.los_mean == 0)
         traces = np.einsum("klnn->kl", stats.nlos_cov).real
-        np.testing.assert_allclose(traces, cfg.antennas_per_ap * stats.beta_lin, rtol=1e-6)
+        beta = 10.0 ** (dep.gains_db / 10.0)
+        np.testing.assert_allclose(traces, cfg.antennas_per_ap * beta, rtol=1e-6)
 
     def test_huge_kappa_is_nearly_pure_los(self):
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
         stats = build_channel_stats(dep, cfg, np.random.default_rng(2), kappa_override=1e8)
         traces = np.einsum("klnn->kl", stats.nlos_cov).real
-        assert np.all(traces <= 2e-8 * cfg.antennas_per_ap * stats.beta_lin)
+        beta = 10.0 ** (dep.gains_db / 10.0)
+        assert np.all(traces <= 2e-8 * cfg.antennas_per_ap * beta)
         np.testing.assert_allclose(
-            np.sum(np.abs(stats.los_mean) ** 2, axis=2),
-            cfg.antennas_per_ap * stats.beta_lin, rtol=1e-6,
+            np.sum(np.abs(stats.los_mean) ** 2, axis=2), cfg.antennas_per_ap * beta, rtol=1e-6,
         )
 
     def test_infinite_kappa_is_exact_los(self):
@@ -260,7 +264,8 @@ class TestBuildChannelStats:
             geom = PairGeometry(steering=geom.steering, scattering=scattering)
         stats = stats_from_geometry(geom, dep, np.zeros(dep.gains_db.shape))
 
-        scale = stats.beta_lin * (1.0 / (stats.kappa + 1.0))   # the scattered share
+        kappa = rician_factor(dep.distances_3d)
+        scale = 10.0 ** (dep.gains_db / 10.0) * (1.0 / (kappa + 1.0))   # the scattered share
         for k, l in np.ndindex(scale.shape):
             matrix = scale[k, l] * geom.scattering[k, l]
             if rank_deficient and (k, l) == (1, 2):
@@ -277,7 +282,7 @@ class TestSampleChannels:
         dep = deploy(cfg, np.random.default_rng(1))
         stats = build_channel_stats(dep, cfg, np.random.default_rng(2), kappa_override=np.inf)
         draws = sample_channels(stats, np.random.default_rng(3), 4)
-        phased = stats.phased_mean()
+        phased = stats.los_mean.transpose(1, 2, 0)
         for r in range(4):
             np.testing.assert_array_equal(draws.true_channels[r], phased)
 
@@ -297,7 +302,7 @@ class TestSampleChannels:
         draws = sample_channels(stats, np.random.default_rng(3), n)
         h = draws.true_channels[:, 0, :, 0]                  # (n, N)
 
-        phased = stats.phased_mean()[0, :, 0]
+        phased = stats.los_mean[0, 0]
         cov = stats.nlos_cov[0, 0]
         mean_tol = 4.0 / np.sqrt(n) * np.sqrt(np.trace(cov).real)
         assert np.all(np.abs(h.mean(axis=0) - phased) < mean_tol)

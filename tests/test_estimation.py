@@ -171,7 +171,7 @@ class TestEstimates:
         draws = sample_channels(stats, np.random.default_rng(0), 6)
         estimator = PilotEstimator(stats, plan, cfg)
         est = estimator.estimate(draws, np.random.default_rng(1))
-        phased = stats.phased_mean()
+        phased = stats.los_mean.transpose(1, 2, 0)
         for r in range(6):
             np.testing.assert_array_equal(est.estimates[r], phased)
         assert np.all(estimator.err_cov == 0)

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellfree_sim.beamforming import (
     CHUNK,
@@ -23,7 +25,6 @@ from cellfree_sim.beamforming import (
 from cellfree_sim.errors import ConfigError
 from cellfree_sim.estimation import PilotEstimator
 from cellfree_sim.evaluation import (
-    MonteCarloBudgets,
     _uatf_from_moments,
     cd_se,
     evaluate_schemes,
@@ -39,7 +40,7 @@ from conftest import build_instance
 HELPER_THREAD_CPU = """
 import os, threading, time
 from cellfree_sim.beamforming import Scheme
-from cellfree_sim.evaluation import MonteCarloBudgets, evaluate_schemes
+from cellfree_sim.evaluation import evaluate_schemes
 from conftest import build_instance
 
 def cpu_seconds():
@@ -57,8 +58,7 @@ def cpu_seconds():
 cfg, plan, stats = build_instance(3, L=36, K=16, N=2, tau_p=4, side=1000.0)
 time.sleep(0.3)   # a BLAS pool woken by the setup stops spinning
 before = cpu_seconds()
-evaluate_schemes(stats, plan, cfg, list(Scheme),
-                 MonteCarloBudgets(stat_draws=128, eval_draws=128), 7)
+evaluate_schemes(stats, plan, cfg, list(Scheme), 128, 128, 7)
 time.sleep(0.3)   # a woken OpenBLAS worker busy-waits about 0.1 s
 after = cpu_seconds()
 caller = str(threading.get_native_id())
@@ -107,6 +107,27 @@ class TestUatfBound:
         assert clamped[0]
         assert se[0] == pytest.approx(np.log2(1 + 1.0 / 0.5), rel=1e-12)
 
+    @given(R=st.integers(2, 64), K=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           exponent=st.integers(-8, 8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fluctuation_is_nonnegative_up_to_rounding(self, R, K, seed, exponent, data):
+        # interference - signal = p_k (mean|g_kk|^2 - |mean g_kk|^2)
+        # + sum_{i != k} p_i mean|g_ki|^2 >= 0 by Jensen's inequality, since both
+        # moments come from the same draws. A UE whose own gain never changes
+        # sits at the edge, where only rounding can push it below zero.
+        rng = np.random.default_rng(seed)
+        g = 10.0 ** exponent * (rng.standard_normal((R, K, K))
+                                + 1j * rng.standard_normal((R, K, K)))
+        steady = data.draw(st.integers(0, K - 1))
+        g[:, steady, steady] = g[0, steady, steady]
+        p = rng.uniform(0.01, 1.0, size=K)
+        _, extras = uatf_se(g, rng.uniform(0.5, 2.0, size=(R, K)), p, 0.1, 1.0)
+        interference = extras["interference"]
+        fluctuation = interference - extras["signal"]
+        assert np.all(fluctuation >= -1e-12 * interference)
+        for k in extras["clamped_ues"]:
+            assert -1e-12 * interference[k] <= fluctuation[k] < 0.0
+
     def test_needs_two_draws(self):
         with pytest.raises(ConfigError):
             uatf_se(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.ones(1), 0.1, 1.0)
@@ -144,8 +165,7 @@ class TestCdBound:
 class TestEngine:
     def test_deterministic_channel_makes_bounds_coincide(self):
         cfg, plan, stats = build_instance(5, kappa_override=np.inf)
-        budgets = MonteCarloBudgets(stat_draws=4, eval_draws=8)
-        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), budgets, 21)
+        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), 4, 8, 21)
         for rep in reports.values():
             np.testing.assert_allclose(rep.cd.se, rep.uatf.se, rtol=1e-12)
 
@@ -153,9 +173,9 @@ class TestEngine:
         # one AP, one UE, one antenna, deterministic channel: any combiner
         # scale gives SINR = p beta / sigma^2 and the pilot overhead prelog
         cfg, plan, stats = build_instance(2, kappa_override=np.inf, L=1, K=1, N=1, tau_p=1)
-        budgets = MonteCarloBudgets(stat_draws=2, eval_draws=4)
-        rep = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], budgets, 3)[Scheme.MMSE]
-        snr = plan.powers_w[0] * stats.beta_lin[0, 0] / cfg.noise_power_w
+        rep = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 2, 4, 3)[Scheme.MMSE]
+        beta = np.sum(np.abs(stats.los_mean[0, 0]) ** 2)   # N = 1, all power in LoS
+        snr = plan.powers_w[0] * beta / cfg.noise_power_w
         prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
         assert prelog == pytest.approx((200 - 1) / 200)
         assert rep.uatf.se[0] == pytest.approx(prelog * np.log2(1 + snr), rel=1e-10)
@@ -173,27 +193,24 @@ class TestEngine:
         assert not np.any(estimator.gain[k, l]) and not np.any(estimator.err_cov[k, l])
         assert np.any(estimator.gain[k]) and np.any(estimator.err_cov[k])
         _, est = next(estimated_draws(estimator, 32, np.random.SeedSequence(4)))
-        phased = stats.phased_mean()[l, :, k]
+        phased = stats.los_mean[k, l]
         np.testing.assert_array_equal(est.estimates[:, l, :, k],
                                       np.broadcast_to(phased, (32, len(phased))))
 
-        budgets = MonteCarloBudgets(stat_draws=50, eval_draws=60)
-        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), budgets, 23)
+        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), 50, 60, 23)
         for rep in reports.values():
             assert np.all(np.isfinite(rep.uatf.se)) and np.all(np.isfinite(rep.cd.se))
 
     def test_cd_dominates_uatf_for_mmse(self):
         cfg, plan, stats = build_instance(9)
-        budgets = MonteCarloBudgets(stat_draws=100, eval_draws=400)
-        rep = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], budgets, 31)[Scheme.MMSE]
+        rep = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 100, 400, 31)[Scheme.MMSE]
         slack = rep.uatf.ci + rep.cd.ci
         assert np.all(rep.cd.se >= rep.uatf.se - slack)
 
     def test_aggregates_match_per_ue_values(self):
         cfg, plan, stats = build_instance(4)
-        budgets = MonteCarloBudgets(stat_draws=50, eval_draws=60)
         scheme = Scheme.LMMSE_LSFD
-        rep = evaluate_schemes(stats, plan, cfg, [scheme], budgets, 17)[scheme]
+        rep = evaluate_schemes(stats, plan, cfg, [scheme], 50, 60, 17)[scheme]
         # the reported UatF signal/interference/noise aggregates give back each UE's SE
         prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
         fluctuation = np.maximum(rep.uatf_interference - rep.uatf_signal, 0.0)
@@ -203,10 +220,9 @@ class TestEngine:
 
     def test_reproducible_and_paired_across_schemes(self):
         cfg, plan, stats = build_instance(6)
-        budgets = MonteCarloBudgets(stat_draws=40, eval_draws=50)
-        joint = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE, Scheme.LTMMSE], budgets, 77)
-        again = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE, Scheme.LTMMSE], budgets, 77)
-        solo = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], budgets, 77)[Scheme.MMSE]
+        joint = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE, Scheme.LTMMSE], 40, 50, 77)
+        again = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE, Scheme.LTMMSE], 40, 50, 77)
+        solo = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 40, 50, 77)[Scheme.MMSE]
         for scheme in (Scheme.MMSE, Scheme.LTMMSE):
             np.testing.assert_array_equal(joint[scheme].uatf.se, again[scheme].uatf.se)
             np.testing.assert_array_equal(joint[scheme].cd.se, again[scheme].cd.se)
@@ -216,8 +232,7 @@ class TestEngine:
     def test_budget_doubling_moves_se_less_than_joint_ci(self):
         cfg, plan, stats = build_instance(8)
         small, large = (
-            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE],
-                             MonteCarloBudgets(stat_draws=50, eval_draws=n), 13)[Scheme.MMSE]
+            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 50, n, 13)[Scheme.MMSE]
             for n in (300, 600)
         )
         gap = np.abs(small.uatf.se - large.uatf.se)
@@ -225,8 +240,7 @@ class TestEngine:
 
     def test_scheme_ordering_under_uatf(self):
         cfg, plan, stats = build_instance(12, side=300.0)
-        budgets = MonteCarloBudgets(stat_draws=400, eval_draws=400)
-        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), budgets, 19)
+        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), 400, 400, 19)
         mmse, lt, lsfd = (reports[s] for s in (Scheme.MMSE, Scheme.LTMMSE, Scheme.LMMSE_LSFD))
         tol_top = 1.96 * np.sqrt(mmse.uatf.ci**2 + lt.uatf.ci**2)
         tol_bot = 1.96 * np.sqrt(lt.uatf.ci**2 + lsfd.uatf.ci**2)
@@ -237,14 +251,14 @@ class TestEngine:
         # every combined gain, error quadratic and combiner norm recomputed
         # with np.vdot per (draw, UE k, UE i) on the same draw streams
         cfg, plan, stats = build_instance(3)
-        budgets = MonteCarloBudgets(stat_draws=30, eval_draws=CHUNK + 22)
+        stat_draws, eval_draws = 30, CHUNK + 22
         stream = 41
-        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), budgets, stream)
+        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), stat_draws, eval_draws, stream)
 
         sigma2, p = cfg.noise_power_w, plan.powers_w
         prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
         estimator = PilotEstimator(stats, plan, cfg)
-        pi, lsfd = statistics_pass(estimator, budgets.stat_draws,
+        pi, lsfd = statistics_pass(estimator, stat_draws,
                                    subsequence(stream, ROLE_STATISTICS), need_pi=True, need_lsfd=True)
         weights, _ = lsfd_weights(lsfd, p, sigma2)
         stage2, _ = stage2_all(pi, plan)
@@ -252,7 +266,7 @@ class TestEngine:
         K = len(p)
         per_draw = {s: {"gain": [], "est_gain": [], "quad": [], "vnorm2": []} for s in Scheme}
         eval_seq = subsequence(stream, ROLE_EVALUATION)
-        for draws, est in estimated_draws(estimator, budgets.eval_draws, eval_seq):
+        for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
             local = lmmse_local_matrices(est, plan, sigma2)
             combiners = {
                 Scheme.MMSE: mmse_combiner(est, plan, sigma2),
@@ -275,7 +289,7 @@ class TestEngine:
         for scheme, rep in reports.items():
             gain, est_gain, quad, vnorm2 = (np.array(per_draw[scheme][name]) for name in
                                             ("gain", "est_gain", "quad", "vnorm2"))
-            assert gain.shape == (budgets.eval_draws, K, K)
+            assert gain.shape == (eval_draws, K, K)
             own_mean = np.array([gain[:, k, k].mean() for k in range(K)])
             np.testing.assert_allclose(rep.uatf_signal, p * np.abs(own_mean) ** 2, rtol=1e-12)
             np.testing.assert_allclose(rep.uatf_interference,
@@ -299,5 +313,4 @@ class TestEngine:
     def test_budget_guard(self):
         cfg, plan, stats = build_instance(4)
         with pytest.raises(ConfigError):
-            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE],
-                             MonteCarloBudgets(stat_draws=1, eval_draws=10), 0)
+            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 1, 10, 0)

@@ -241,6 +241,18 @@ class TestRunExperiment:
         assert deployed == []
         assert not cfg.out_dir.exists()
 
+    def test_unusable_out_dir_fails_before_any_setup(self, tmp_path, monkeypatch):
+        def no_setup(*args):
+            raise AssertionError("a setup ran before out_dir was checked")
+
+        monkeypatch.setattr(experiments, "_setup_reports", no_setup)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        for out_dir in (blocker, blocker / "sub"):
+            cfg = tiny_config(tmp_path, experiment="cdf", out_dir=str(out_dir))
+            with pytest.raises(ConfigError, match="output directory"):
+                run_experiment(cfg)
+
     @pytest.mark.parametrize("threads, pools", [(64, [2]), (2, [2]), (1, [])])
     def test_workers_are_capped_at_the_task_count(self, tmp_path, monkeypatch, threads, pools):
         created = []
@@ -453,12 +465,3 @@ class TestCli:
             lambda cfg, threads: (_ for _ in ()).throw(NumericalError("diverged")),
         )
         assert main(["--config", write_config(tmp_path, payload)]) == 3
-
-    def test_env_var_overrides_thread_count(self, tmp_path, monkeypatch):
-        payload = {"experiment": "kappa_sweep", "area": TINY_AREA, "setups": 1,
-                   "stat_budget": 10, "eval_budget": 10, "kappa_grid": [1.0],
-                   "out_dir": str(tmp_path / "r")}
-        monkeypatch.setenv("CELLFREE_SIM_THREADS", "2")
-        assert main(["--config", write_config(tmp_path, payload), "--threads", "1"]) == 0
-        monkeypatch.setenv("CELLFREE_SIM_THREADS", "zero")
-        assert main(["--config", write_config(tmp_path, payload)]) == 2

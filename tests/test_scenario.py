@@ -128,7 +128,7 @@ class TestServicePlan:
                          pilot_count=4, pilot_power_w=0.1)
         dep = deploy(cfg, np.random.default_rng(2))
         plan = assign_pilots_and_clusters(dep, cfg)
-        assert all(s == frozenset({k}) for k, s in enumerate(plan.copilot_sets))
+        assert np.unique(plan.pilot_of_ue).size == cfg.ue_count
 
     def test_single_ap_two_ues_one_pilot(self):
         # stronger UE wins the per-pilot contest; the weaker one keeps its
@@ -139,15 +139,6 @@ class TestServicePlan:
         plan = assign_pilots_and_clusters(dep, cfg)
         assert np.array_equal(plan.pilot_of_ue, [0, 0])
         assert [c.tolist() for c in plan.cluster_of_ue] == [[0], [0]]
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_pilot_symmetry(self, seed):
-        _, _, plan = self._plan(seed)
-        for k, s in enumerate(plan.copilot_sets):
-            assert k in s
-            for i in s:
-                assert k in plan.copilot_sets[i]
-                assert plan.pilot_of_ue[i] == plan.pilot_of_ue[k]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cluster_structure_matches_sequential_rule(self, seed):
