@@ -25,14 +25,12 @@ from enum import Enum
 import numpy as np
 
 from .channel import sample_channels
-from .errors import ConfigError
 from .estimation import EstimateSet, PilotEstimator
 from .rng import substream
 from .scenario import ServicePlan
 
 # Draws per Monte Carlo chunk; chunk c always draws from substream(stream, c).
 CHUNK = 128
-MIN_STAT_DRAWS = 2
 # Draws per (draws, L, K, K) block of Pi cross terms in the statistics pass.
 PI_BLOCK = 8
 
@@ -124,8 +122,6 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
     boundaries are fixed by draw index, so the result is independent of how
     chunks are scheduled.
     """
-    if mc < MIN_STAT_DRAWS:
-        raise ConfigError(f"statistics budget must be at least {MIN_STAT_DRAWS} draws")
     plan, sigma2 = estimator.plan, estimator.cfg.noise_power_w
     K, L, N = estimator.stats.los_mean.shape
     sqrt_p = np.sqrt(plan.powers_w)

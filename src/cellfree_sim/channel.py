@@ -257,14 +257,16 @@ def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
 
 
 def build_channel_stats(dep: Deployment, cfg: AreaConfig, rng: np.random.Generator,
-                        kappa_override: float | None = None) -> ChannelStats:
-    """Assemble LoS signatures, phases and scattered covariances for one drop.
+                        kappas=(None,)) -> list[ChannelStats]:
+    """Channel statistics of one drop, one `ChannelStats` per Rician factor in `kappas`.
 
-    LoS phases are drawn once per setup, uniformly on [0, 2 pi), and stay
-    fixed across all coherence blocks.
+    `None` means the distance law. LoS phases are drawn once per setup,
+    uniformly on [0, 2 pi), and the kappa-independent geometry is built once;
+    every kappa shares both, and they stay fixed across all coherence blocks.
     """
     phases = rng.uniform(0.0, 2.0 * np.pi, size=dep.gains_db.shape)
-    return stats_from_geometry(pair_geometry(dep, cfg), dep, phases, kappa_override)
+    geom = pair_geometry(dep, cfg)
+    return [stats_from_geometry(geom, dep, phases, kappa) for kappa in kappas]
 
 
 def sample_channels(stats: ChannelStats, rng: np.random.Generator, n_draws: int = 1) -> ChannelDraw:

@@ -9,7 +9,6 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -43,16 +42,11 @@ def main(argv=None) -> int:
         print("error: thread count must be >= 1", file=sys.stderr)
         return 2
 
+    overrides = {key: value for key, value in (("experiment", args.experiment),
+                                               ("seed", args.seed), ("out_dir", args.out))
+                 if value is not None}
     try:
-        cfg = parse_config(args.config)
-        if args.experiment is not None:
-            cfg = dataclasses.replace(cfg, experiment=args.experiment)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be a nonnegative integer")
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
+        cfg = parse_config(args.config, overrides)
         rows, path = run_experiment(cfg, threads=args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,16 +31,17 @@ class EstimateSet:
 
 
 class PilotEstimator:
-    """Precomputed pilot-phase processing for one (stats, plan) pair.
+    """Precomputed pilot-phase processing for one (stats, plan, cfg) triple.
 
     Holds the innovation covariances, the per-pair MMSE gain matrices, error
-    covariances and their power-weighted sums. Immutable after construction;
+    covariances and their power-weighted sums. The pilot count tau_p is
+    `cfg.pilot_count`, the one the prelog uses. Immutable after construction;
     safe to share across Monte Carlo workers.
     """
 
     def __init__(self, stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig):
         K, L, N = stats.los_mean.shape
-        tau_p = plan.pilot_count
+        tau_p = cfg.pilot_count
         self.stats = stats
         self.plan = plan
         self.cfg = cfg
@@ -71,7 +72,7 @@ class PilotEstimator:
 
     def _pilot_sums(self, H: np.ndarray) -> np.ndarray:
         """Noiseless decorrelated pilot signal (R, L, N, tau_p) of channels H."""
-        received = np.empty(H.shape[:-1] + (self.plan.pilot_count,), dtype=complex)
+        received = np.empty(H.shape[:-1] + (self.cfg.pilot_count,), dtype=complex)
         # One small product per pilot, not H.reshape(-1, K) @ coef: a single
         # (R L N) x K product is large enough for OpenBLAS to thread, and its
         # worker then busy-waits about 0.1 s after every chunk, taking a core
@@ -84,7 +85,7 @@ class PilotEstimator:
         """Simulate pilot reception for each draw and apply the MMSE map."""
         H = draw.true_channels                            # (R, L, N, K)
         R, L, N = H.shape[:3]
-        tau_p = self.plan.pilot_count
+        tau_p = self.cfg.pilot_count
         sigma2 = self.cfg.noise_power_w
 
         received = self._pilot_sums(H)

@@ -59,23 +59,18 @@ class SeReport:
 
     uatf: BoundEstimate
     cd: BoundEstimate
-    uatf_signal: np.ndarray        # (K,) p_k |E g_kk|^2
-    uatf_interference: np.ndarray  # (K,) sum_i p_i E |g_ki|^2
-    uatf_noise: np.ndarray         # (K,) sigma^2 E ||v_k||^2
-    draw_count: int
-    stat_draw_count: int
     clamped_ues: tuple[int, ...] = ()
     regularized_ues: tuple[int, ...] = ()
 
 
-def _batch_index(n_draws: int, n_batches: int) -> np.ndarray:
-    return (np.arange(n_draws) * n_batches) // n_draws
-
-
-def _batch_ci(se_batches: np.ndarray) -> np.ndarray:
-    B = se_batches.shape[0]
-    if B < 2:
-        return np.full(se_batches.shape[1], np.nan)
+def _batch_ci(se_of, *per_draw: np.ndarray) -> np.ndarray:
+    """95% halfwidth by batch means: `se_of(*batch)` on each of B = min(N_BATCHES, R)
+    batches of the per-draw arrays, where draw r falls in batch floor(r B / R)."""
+    R = len(per_draw[0])
+    B = min(N_BATCHES, R)
+    batch = np.arange(R) * B // R
+    # masked copies, not slices: a batch then sums in one order whatever the input layout
+    se_batches = np.array([se_of(*(a[batch == b] for a in per_draw)) for b in range(B)])
     return 1.96 * np.std(se_batches, axis=0, ddof=1) / np.sqrt(B)
 
 
@@ -108,29 +103,18 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
     R, K, _ = gains.shape
     if R < 2:
         raise ConfigError("UatF evaluation needs at least 2 draws")
-    n_batches = min(N_BATCHES, R)
     own = gains[:, np.arange(K), np.arange(K)]
+    abs2 = np.abs(gains) ** 2
 
-    se_full, parts, clamped = _uatf_from_moments(
-        own.mean(axis=0), (np.abs(gains) ** 2).mean(axis=0), vnorm2.mean(axis=0),
-        powers, sigma2, prelog,
-    )
-    batch = _batch_index(R, n_batches)
-    se_batches = np.empty((n_batches, K))
-    for b in range(n_batches):
-        rows = batch == b
-        se_batches[b], _, _ = _uatf_from_moments(
-            own[rows].mean(axis=0), (np.abs(gains[rows]) ** 2).mean(axis=0),
-            vnorm2[rows].mean(axis=0), powers, sigma2, prelog,
-        )
-    estimate = BoundEstimate(se=se_full, ci=_batch_ci(se_batches))
-    extras = {
-        "signal": parts[0],
-        "interference": parts[1],
-        "noise": parts[2],
-        "clamped_ues": tuple(np.flatnonzero(clamped).tolist()),
-    }
-    return estimate, extras
+    def moments(own, abs2, vnorm2):
+        return _uatf_from_moments(own.mean(axis=0), abs2.mean(axis=0), vnorm2.mean(axis=0),
+                                  powers, sigma2, prelog)
+
+    se_full, parts, clamped = moments(own, abs2, vnorm2)
+    ci = _batch_ci(lambda *batch: moments(*batch)[0], own, abs2, vnorm2)
+    extras = dict(zip(("signal", "interference", "noise"), parts),
+                  clamped_ues=tuple(np.flatnonzero(clamped).tolist()))
+    return BoundEstimate(se=se_full, ci=ci), extras
 
 
 def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
@@ -141,8 +125,7 @@ def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
     the estimation-error quadratic form v^H Z v on the serving cluster. The
     per-draw log terms are averaged; expectations stay inside the log.
     """
-    R, K, _ = est_gains.shape
-    n_batches = min(N_BATCHES, R)
+    K = est_gains.shape[1]
     own = np.abs(est_gains[:, np.arange(K), np.arange(K)]) ** 2
     total = (np.abs(est_gains) ** 2) @ powers
     denom = np.maximum(total - powers * own, 0.0) + err_quad + sigma2 * vnorm2
@@ -150,12 +133,10 @@ def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
         sinr = np.where(denom > 0.0, powers * own / np.where(denom > 0.0, denom, 1.0), 0.0)
     log_terms = np.log2(1.0 + sinr)
 
-    se_full = prelog * log_terms.mean(axis=0)
-    batch = _batch_index(R, n_batches)
-    se_batches = np.empty((n_batches, K))
-    for b in range(n_batches):
-        se_batches[b] = prelog * log_terms[batch == b].mean(axis=0)
-    return BoundEstimate(se=se_full, ci=_batch_ci(se_batches))
+    def se_of(terms):
+        return prelog * terms.mean(axis=0)
+
+    return BoundEstimate(se=se_of(log_terms), ci=_batch_ci(se_of, log_terms))
 
 
 def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
@@ -172,8 +153,6 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     if stat_draws < 2 or eval_draws < 2:
         raise ConfigError("draw budgets must be at least 2")
     schemes = [Scheme(s) for s in schemes]
-    if not schemes:
-        raise ConfigError("at least one scheme required")
     prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
     sigma2 = cfg.noise_power_w
 
@@ -231,11 +210,6 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
         reports[scheme] = SeReport(
             uatf=uatf,
             cd=cd,
-            uatf_signal=extras["signal"],
-            uatf_interference=extras["interference"],
-            uatf_noise=extras["noise"],
-            draw_count=eval_draws,
-            stat_draw_count=stat_draws if scheme is not Scheme.MMSE else 0,
             clamped_ues=extras["clamped_ues"],
             regularized_ues=regularized[scheme],
         )
@@ -246,7 +220,6 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
 class EstimationDiagnostics:
     """Empirical consistency report for the estimator on one setup."""
 
-    n_draws: int
     max_mean_dev_se: float      # worst |emp. mean - phased LoS| in standard errors
     max_errcov_dev_se: float    # worst error-covariance entry deviation in standard errors
     max_cross_dev_se: float     # worst estimate/error cross-covariance entry in standard errors
@@ -334,7 +307,6 @@ def error_statistics_check(estimator: PilotEstimator, n_draws: int, stream,
         corr.append(float(ratios.max()))
 
     return EstimationDiagnostics(
-        n_draws=n_draws,
         max_mean_dev_se=max_mean,
         max_errcov_dev_se=max_errcov,
         max_cross_dev_se=max_cross,

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .beamforming import Scheme
-from .channel import build_channel_stats  # noqa: F401  (perfbench/tracing.py wraps it)
-from .channel import pair_geometry, stats_from_geometry
+from .channel import build_channel_stats
+from .channel import pair_geometry, stats_from_geometry  # noqa: F401  (perfbench/tracing.py wraps them)
 from .errors import ConfigError
 from .evaluation import SeReport, evaluate_schemes
 from .rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
@@ -111,9 +111,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, overrides=None) -> ExperimentConfig:
     """Strict JSON config parser: unknown keys are rejected, every violation
-    is collected and reported in one error."""
+    is collected and reported in one error. `overrides` replace top-level
+    keys before validation, so they are checked like the file's own keys."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -125,7 +126,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return config_from_dict(raw)
+    return config_from_dict({**raw, **(overrides or {})})
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -248,19 +249,16 @@ def _setup_reports(cfg: ExperimentConfig, area: AreaConfig, setup: int,
 
     `None` means the distance law. The deployment, plan, LoS phases and the
     (kappa-independent) scattering geometry are built once and shared by
-    every kappa. Streams depend only on (seed, setup, role), so any
-    scheduling order gives identical results.
+    every kappa (`build_channel_stats`). Streams depend only on (seed, setup,
+    role), so any scheduling order gives identical results.
     """
     base = subsequence(cfg.seed, setup)
     dep = deploy(area, substream(base, ROLE_DEPLOY))
     plan = assign_pilots_and_clusters(dep, area)
     plan = apply_power_control(plan, dep, cfg.pc_exponent, area.p_max_w)
-    geom = pair_geometry(dep, area)
-    phases = substream(base, ROLE_PHASES).uniform(0.0, 2.0 * np.pi, size=dep.gains_db.shape)
     return [
-        evaluate_schemes(stats_from_geometry(geom, dep, phases, kappa), plan, area,
-                         cfg.schemes, cfg.stat_budget, cfg.eval_budget, base)
-        for kappa in kappas
+        evaluate_schemes(stats, plan, area, cfg.schemes, cfg.stat_budget, cfg.eval_budget, base)
+        for stats in build_channel_stats(dep, area, substream(base, ROLE_PHASES), kappas)
     ]
 
 
@@ -269,10 +267,11 @@ def _report_rows(cfg: ExperimentConfig, setup: int, sweep: float,
     rows = []
     for scheme in cfg.schemes:
         rep = reports[scheme]
+        stat_draws = 0 if scheme is Scheme.MMSE else cfg.stat_budget
         for bound, est in (("uatf", rep.uatf), ("cd", rep.cd)):
             common = dict(
                 experiment=cfg.experiment, setup=setup, sweep=sweep, scheme=scheme,
-                bound=bound, stat_draws=rep.stat_draw_count, eval_draws=rep.draw_count,
+                bound=bound, stat_draws=stat_draws, eval_draws=cfg.eval_budget,
                 seed=cfg.seed,
             )
             for k in range(len(est.se)):

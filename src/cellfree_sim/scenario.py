@@ -107,7 +107,6 @@ class ServicePlan:
     cluster_of_ue: tuple[np.ndarray, ...]  # per UE, sorted indices of serving APs
     powers_w: np.ndarray                  # (K,) uplink data power
     pilot_powers_w: np.ndarray            # (K,) uplink pilot power
-    pilot_count: int
 
 
 def wrapped_distance(a, b, side: float, dh: float) -> float:
@@ -223,7 +222,6 @@ def assign_pilots_and_clusters(dep: Deployment, cfg: AreaConfig) -> ServicePlan:
         cluster_of_ue=clusters,
         powers_w=full_power,
         pilot_powers_w=pilot_power,
-        pilot_count=tau_p,
     )
 
 

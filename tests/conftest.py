@@ -40,11 +40,9 @@ def make_stats(los_mean, nlos_cov, phases=None):
     return ChannelStats(los_mean=los_mean, nlos_cov=repaired, cov_factor=factors)
 
 
-def make_plan(pilot_of_ue, clusters, powers=None, pilot_powers=None, pilot_count=None):
+def make_plan(pilot_of_ue, clusters, powers=None, pilot_powers=None):
     pilot_of_ue = np.asarray(pilot_of_ue, dtype=int)
     K = len(pilot_of_ue)
-    if pilot_count is None:
-        pilot_count = int(pilot_of_ue.max()) + 1
     if powers is None:
         powers = np.ones(K)
     if pilot_powers is None:
@@ -54,7 +52,6 @@ def make_plan(pilot_of_ue, clusters, powers=None, pilot_powers=None, pilot_count
         cluster_of_ue=tuple(np.asarray(c, dtype=int) for c in clusters),
         powers_w=np.asarray(powers, dtype=float),
         pilot_powers_w=np.asarray(pilot_powers, dtype=float),
-        pilot_count=pilot_count,
     )
 
 
@@ -69,7 +66,7 @@ def build_instance(seed, kappa_override=None, L=6, K=4, N=2, tau_p=2, side=400.0
     dep = deploy(cfg, np.random.default_rng(seed))
     plan = assign_pilots_and_clusters(dep, cfg)
     stats = build_channel_stats(dep, cfg, np.random.default_rng(seed + 1000),
-                                kappa_override=kappa_override)
+                                [kappa_override])[0]
     return cfg, plan, stats
 
 

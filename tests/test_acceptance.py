@@ -40,7 +40,7 @@ def small_instance(seed, kappa_override, tau_p=2):
     dep = deploy(cfg, np.random.default_rng(seed))
     plan = assign_pilots_and_clusters(dep, cfg)
     stats = build_channel_stats(dep, cfg, np.random.default_rng(seed + 1000),
-                                kappa_override=kappa_override)
+                                [kappa_override])[0]
     return cfg, dep, plan, stats
 
 
@@ -206,7 +206,7 @@ def test_criterion_6_estimator_consistency():
                      pilot_count=1, pilot_power_w=0.1)
     dep = deploy(cfg, np.random.default_rng(60))
     plan = assign_pilots_and_clusters(dep, cfg)
-    stats = build_channel_stats(dep, cfg, np.random.default_rng(61))
+    stats = build_channel_stats(dep, cfg, np.random.default_rng(61))[0]
     assert plan.pilot_of_ue[0] == plan.pilot_of_ue[1]  # contaminated pair
 
     report = error_statistics_check(PilotEstimator(stats, plan, cfg), 100_000, 62)

@@ -96,10 +96,9 @@ class TestMmseCombiner:
         # random perturbations around the solution never reduce the
         # per-draw quadratic objective
         est = synthetic_estimates(rng, R=6, L=3, N=2, K=4, err_scale=0.15)
-        plan = make_plan([0, 0, 1, 1], [[0, 1], [1, 2], [0, 1, 2], [2]], pilot_count=2)
+        plan = make_plan([0, 0, 1, 1], [[0, 1], [1, 2], [0, 1, 2], [2]])
         powers = np.array([1.0, 0.5, 0.8, 1.2])
-        plan = make_plan([0, 0, 1, 1], [[0, 1], [1, 2], [0, 1, 2], [2]], powers=powers,
-                         pilot_count=2)
+        plan = make_plan([0, 0, 1, 1], [[0, 1], [1, 2], [0, 1, 2], [2]], powers=powers)
         sigma2 = 0.4
         v = mmse_combiner(est, plan, sigma2)
         base = detection_mse(v, est, powers, sigma2)
@@ -193,7 +192,7 @@ class TestPiEstimation:
     def test_deterministic_estimates_need_one_chunk(self):
         los = np.array([[[1.0 + 0.2j, 0.5j]], [[0.3, 1.0 - 0.4j]]])  # (K=2, L=1, N=2)
         stats = make_stats(los, np.zeros((2, 1, 2, 2)), phases=[[0.4], [2.0]])
-        plan = make_plan([0, 1], [[0], [0]], pilot_count=2)
+        plan = make_plan([0, 1], [[0], [0]])
         cfg = make_cfg(L=1, K=2, N=2, tau_p=2, sigma2=0.2)
         est = PilotEstimator(stats, plan, cfg)
         pi, _ = statistics_pass(est, 2, 3, need_pi=True, need_lsfd=False)
@@ -231,7 +230,7 @@ class TestLsfdMoments:
         los = np.array([[[1.0 + 0.2j, 0.5j], [0.1, 0.8]],
                         [[0.3, 1.0 - 0.4j], [0.9j, 0.2]]])  # (K=2, L=2, N=2)
         stats = make_stats(los, np.zeros((2, 2, 2, 2)), phases=[[0.4, 1.3], [2.0, 0.2]])
-        plan = make_plan([0, 1], [[0, 1], [1]], pilot_count=2)
+        plan = make_plan([0, 1], [[0, 1], [1]])
         cfg = make_cfg(L=2, K=2, N=2, tau_p=2, sigma2=0.2)
         estimator = PilotEstimator(stats, plan, cfg)
         _, moments = statistics_pass(estimator, 3, np.random.SeedSequence(8),
@@ -300,7 +299,7 @@ class TestStageTwo:
         # UE 0 is served by AP 2 alone; UEs share pilots 0 and 1, pilot 2 is unused
         cfg, _, stats = build_instance(11, L=6, K=5, N=2, tau_p=3)
         plan = make_plan([0, 1, 0, 1, 0], [[2], [0, 1], [1, 2, 3], [0, 3, 4, 5], [1, 3, 5]],
-                         pilot_powers=np.full(5, 0.1), pilot_count=3)
+                         pilot_powers=np.full(5, 0.1))
         pi, _ = statistics_pass(PilotEstimator(stats, plan, cfg), 256, 5,
                                 need_pi=True, need_lsfd=False)
         stage2, flagged = stage2_all(pi, plan)

@@ -4,7 +4,9 @@
 modules bind, and its counters read fields of what they return. A refactor
 that drops one of those names or fields makes every traced benchmark run
 fail, so one test resolves each name without patching any, and another runs
-a toy traced experiment end to end.
+a toy traced experiment end to end. That run also checks that setups are built
+through the wrapped `experiments.build_channel_stats`, so its layer measures
+real work instead of reading 0.
 """
 
 import importlib
@@ -64,3 +66,4 @@ def test_traced_toy_run_reads_every_counter(tmp_path):
     assert layers["channel.sample_channels.draws"] == 40
     assert layers["estimation.estimate.draws"] == 40
     assert layers["safety.ue_attempts"] == 8
+    assert layers["channel.build_channel_stats.busy_s"] > 0

@@ -203,7 +203,7 @@ class TestBuildChannelStats:
     def test_power_split_identity(self):
         cfg = small_cfg(N=3)
         dep = deploy(cfg, np.random.default_rng(1))
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(2))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(2))[0]
         total = np.einsum("klnn->kl", stats.nlos_cov).real + np.sum(np.abs(stats.los_mean) ** 2, axis=2)
         beta = 10.0 ** (dep.gains_db / 10.0)
         np.testing.assert_allclose(total, cfg.antennas_per_ap * beta, rtol=1e-6)
@@ -211,7 +211,7 @@ class TestBuildChannelStats:
     def test_default_kappa_follows_distance_law(self):
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(2))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(2))[0]
         kappa = (np.sum(np.abs(stats.los_mean) ** 2, axis=2)
                  / np.einsum("klnn->kl", stats.nlos_cov).real)
         np.testing.assert_allclose(kappa, rician_factor(dep.distances_3d), rtol=1e-12)
@@ -219,7 +219,7 @@ class TestBuildChannelStats:
     def test_zero_kappa_is_pure_nlos(self):
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(2), kappa_override=0.0)
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(2), [0.0])[0]
         assert np.all(stats.los_mean == 0)
         traces = np.einsum("klnn->kl", stats.nlos_cov).real
         beta = 10.0 ** (dep.gains_db / 10.0)
@@ -228,7 +228,7 @@ class TestBuildChannelStats:
     def test_huge_kappa_is_nearly_pure_los(self):
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(2), kappa_override=1e8)
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(2), [1e8])[0]
         traces = np.einsum("klnn->kl", stats.nlos_cov).real
         beta = 10.0 ** (dep.gains_db / 10.0)
         assert np.all(traces <= 2e-8 * cfg.antennas_per_ap * beta)
@@ -239,18 +239,23 @@ class TestBuildChannelStats:
     def test_infinite_kappa_is_exact_los(self):
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(2), kappa_override=np.inf)
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(2), [np.inf])[0]
         assert np.all(stats.nlos_cov == 0)
 
     def test_geometry_reuse_matches_direct_build(self):
+        # every kappa shares one draw of the phases and one geometry
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
         geom = pair_geometry(dep, cfg)
-        direct = build_channel_stats(dep, cfg, np.random.default_rng(9))
+        kappas = (None, 0.0, 5.0, np.inf)
+        direct = build_channel_stats(dep, cfg, np.random.default_rng(9), kappas)
+        assert len(direct) == len(kappas)
         phases = np.random.default_rng(9).uniform(0, 2 * np.pi, size=dep.gains_db.shape)
-        rebuilt = stats_from_geometry(geom, dep, phases)
-        np.testing.assert_array_equal(direct.los_mean, rebuilt.los_mean)
-        np.testing.assert_array_equal(direct.nlos_cov, rebuilt.nlos_cov)
+        for kappa, stats in zip(kappas, direct):
+            rebuilt = stats_from_geometry(geom, dep, phases, kappa)
+            np.testing.assert_array_equal(stats.los_mean, rebuilt.los_mean)
+            np.testing.assert_array_equal(stats.nlos_cov, rebuilt.nlos_cov)
+            np.testing.assert_array_equal(stats.cov_factor, rebuilt.cov_factor)
 
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_batched_factors_match_per_pair_factors(self, rank_deficient):
@@ -280,7 +285,7 @@ class TestSampleChannels:
     def test_zero_covariance_gives_deterministic_channel(self):
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(2), kappa_override=np.inf)
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(2), [np.inf])[0]
         draws = sample_channels(stats, np.random.default_rng(3), 4)
         phased = stats.los_mean.transpose(1, 2, 0)
         for r in range(4):
@@ -289,7 +294,7 @@ class TestSampleChannels:
     def test_same_seed_reproduces_draws(self):
         cfg = small_cfg()
         dep = deploy(cfg, np.random.default_rng(1))
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(2))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(2))[0]
         a = sample_channels(stats, np.random.default_rng(42), 16)
         b = sample_channels(stats, np.random.default_rng(42), 16)
         np.testing.assert_array_equal(a.true_channels, b.true_channels)
@@ -297,7 +302,7 @@ class TestSampleChannels:
     def test_empirical_mean_and_covariance(self):
         cfg = small_cfg(N=2, ap_count=1, ue_count=1, pilot_count=1)
         dep = deploy(cfg, np.random.default_rng(1))
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(2))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(2))[0]
         n = 10**5
         draws = sample_channels(stats, np.random.default_rng(3), n)
         h = draws.true_channels[:, 0, :, 0]                  # (n, N)

@@ -22,7 +22,7 @@ def identity_cov(K, L, N, scale=1.0):
 class TestPsiMatrix:
     def test_unused_pilot_is_noise_only(self):
         stats = make_stats(np.zeros((1, 1, 2)), identity_cov(1, 1, 2))
-        plan = make_plan([0], [[0]], pilot_count=2)
+        plan = make_plan([0], [[0]])
         cfg = make_cfg(L=1, K=1, N=2, tau_p=2, sigma2=0.3)
         psi = PilotEstimator(stats, plan, cfg).psi[1, 0]
         np.testing.assert_allclose(psi, 0.3 * np.eye(2), atol=1e-15)
@@ -30,7 +30,7 @@ class TestPsiMatrix:
     def test_single_ue_identity_covariance(self):
         # eta * tau_p = 1 with R = I gives (1 + sigma^2) I
         stats = make_stats(np.zeros((1, 1, 2)), identity_cov(1, 1, 2))
-        plan = make_plan([0], [[0]], pilot_powers=[1.0], pilot_count=1)
+        plan = make_plan([0], [[0]], pilot_powers=[1.0])
         cfg = make_cfg(L=1, K=1, N=2, tau_p=1, sigma2=0.25)
         psi = PilotEstimator(stats, plan, cfg).psi[0, 0]
         np.testing.assert_allclose(psi, 1.25 * np.eye(2), atol=1e-15)
@@ -42,7 +42,7 @@ class TestPsiMatrix:
         r1, r2 = a @ a.conj().T, b @ b.conj().T
         cov = np.stack([r1, r2])[:, None]
         stats = make_stats(np.zeros((2, 1, N)), cov)
-        plan = make_plan([0, 0], [[0], [0]], pilot_powers=[0.2, 0.7], pilot_count=2)
+        plan = make_plan([0, 0], [[0], [0]], pilot_powers=[0.2, 0.7])
         cfg = make_cfg(L=1, K=2, N=N, tau_p=2, sigma2=0.1)
         psi = PilotEstimator(stats, plan, cfg).psi[0, 0]
         expected = 0.2 * 2 * r1 + 0.7 * 2 * r2 + 0.1 * np.eye(N)
@@ -54,7 +54,7 @@ class TestErrorCovariance:
         # N=1, single UE: C = r sigma^2 / (eta tau r + sigma^2)
         r, eta, tau, sigma2 = 0.8, 0.5, 3, 0.12
         stats = make_stats(np.zeros((1, 1, 1)), r * identity_cov(1, 1, 1))
-        plan = make_plan([0], [[0]], pilot_powers=[eta], pilot_count=tau)
+        plan = make_plan([0], [[0]], pilot_powers=[eta])
         cfg = make_cfg(L=1, K=1, N=1, tau_p=tau, sigma2=sigma2)
         est = PilotEstimator(stats, plan, cfg)
         expected = r * sigma2 / (eta * tau * r + sigma2)
@@ -74,7 +74,7 @@ class TestErrorCovariance:
                          pilot_count=2, pilot_power_w=0.1)
         dep = deploy(cfg, np.random.default_rng(seed))
         plan = assign_pilots_and_clusters(dep, cfg)
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(seed + 50))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(seed + 50))[0]
         est = PilotEstimator(stats, plan, cfg)
         for k in range(cfg.ue_count):
             for l in range(cfg.ap_count):
@@ -89,13 +89,13 @@ class TestErrorCovariance:
                          pilot_count=2, pilot_power_w=0.1)
         dep = deploy(cfg, np.random.default_rng(4))
         plan = assign_pilots_and_clusters(dep, cfg)
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(54))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(54))[0]
         return cfg, plan, stats, PilotEstimator(stats, plan, cfg)
 
     def test_batched_factorizations_match_a_per_pair_loop(self):
         cfg, plan, stats, est = self._instance()
 
-        tau_p = plan.pilot_count
+        tau_p = cfg.pilot_count
         psi = np.empty_like(est.psi)
         psi[:] = cfg.noise_power_w * np.eye(cfg.antennas_per_ap)
         for i in range(cfg.ue_count):
@@ -120,7 +120,7 @@ class TestErrorCovariance:
     def test_gain_and_error_covariance_match_a_cholesky_oracle(self):
         # scipy's Cholesky solve is an independent oracle for the LU solve
         cfg, plan, stats, est = self._instance()
-        tau_p = plan.pilot_count
+        tau_p = cfg.pilot_count
         for l in range(cfg.ap_count):
             for k in range(cfg.ue_count):
                 eta = plan.pilot_powers_w[k]
@@ -141,7 +141,7 @@ class TestErrorCovariance:
             stats = make_stats(np.zeros((2, 1, N)), cov)
             cfg = make_cfg(L=1, K=2, N=N, tau_p=1, sigma2=0.2)
             alone = PilotEstimator(
-                stats, make_plan([0, 1], [[0], [0]], pilot_count=2),
+                stats, make_plan([0, 1], [[0], [0]]),
                 make_cfg(L=1, K=2, N=N, tau_p=2, sigma2=0.2),
             )
             contaminated = PilotEstimator(stats, make_plan([0, 0], [[0], [0]]), cfg)
@@ -155,7 +155,7 @@ class TestEstimates:
         # UEs 0, 2, 4 share pilot 0 and UEs 1, 3 pilot 1; pilot 2 is unused
         cfg, _, stats = build_instance(11, L=6, K=5, N=2, tau_p=3)
         plan = make_plan([0, 1, 0, 1, 0], [[2], [0, 1], [1, 2, 3], [0, 3, 4, 5], [1, 3, 5]],
-                         pilot_powers=rng.uniform(0.05, 0.1, 5), pilot_count=3)
+                         pilot_powers=rng.uniform(0.05, 0.1, 5))
         estimator = PilotEstimator(stats, plan, cfg)
         H = sample_channels(stats, rng, 7).true_channels
         sums = estimator._pilot_sums(H)
@@ -183,7 +183,7 @@ class TestEstimates:
                          pilot_count=1, pilot_power_w=0.1)
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(9))[0]
         report = error_statistics_check(PilotEstimator(stats, plan, cfg), 30_000, 10,
                                         min_draws=1000)
         assert report.within(5.0), report
@@ -196,7 +196,7 @@ class TestEstimates:
                          pilot_count=1, pilot_power_w=0.1)
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(9), kappa_override=np.inf)
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(9), [np.inf])[0]
         report = error_statistics_check(PilotEstimator(stats, plan, cfg), 2000, 10,
                                         min_draws=1000)
         # the error and cross moments vanish identically; the mean deviation
@@ -210,7 +210,7 @@ class TestEstimates:
                          pilot_count=2, pilot_power_w=0.1)
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(9))[0]
         report = error_statistics_check(PilotEstimator(stats, plan, cfg), 5000, 10,
                                         min_draws=1000)
         assert report.within(5.0)
@@ -221,6 +221,6 @@ class TestEstimates:
                          pilot_count=1, pilot_power_w=0.1)
         dep = deploy(cfg, np.random.default_rng(8))
         plan = assign_pilots_and_clusters(dep, cfg)
-        stats = build_channel_stats(dep, cfg, np.random.default_rng(9))
+        stats = build_channel_stats(dep, cfg, np.random.default_rng(9))[0]
         with pytest.raises(ConfigError):
             error_statistics_check(PilotEstimator(stats, plan, cfg), 10, 0)

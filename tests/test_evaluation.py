@@ -201,22 +201,30 @@ class TestEngine:
         for rep in reports.values():
             assert np.all(np.isfinite(rep.uatf.se)) and np.all(np.isfinite(rep.cd.se))
 
+    def test_singular_lsfd_system_takes_the_ridge(self):
+        # a serving pair with no channel at all: that AP's local combiner for
+        # UE 0 is exactly zero, so UE 0's LSFD moment matrix is singular
+        cfg, plan, stats = build_instance(10)
+        k, l = 0, 2
+        assert l in plan.cluster_of_ue[k]
+        fields = {name: getattr(stats, name).copy()
+                  for name in ("los_mean", "nlos_cov", "cov_factor")}
+        for array in fields.values():
+            array[k, l] = 0.0
+        stats = dataclasses.replace(stats, **fields)
+
+        reports = evaluate_schemes(stats, plan, cfg, list(Scheme), 50, 60, 23)
+        assert reports[Scheme.LMMSE_LSFD].regularized_ues == (0,)
+        for scheme in (Scheme.MMSE, Scheme.LTMMSE):
+            assert reports[scheme].regularized_ues == () and reports[scheme].clamped_ues == ()
+        for rep in reports.values():
+            assert np.all(np.isfinite(rep.uatf.se)) and np.all(np.isfinite(rep.cd.se))
+
     def test_cd_dominates_uatf_for_mmse(self):
         cfg, plan, stats = build_instance(9)
         rep = evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 100, 400, 31)[Scheme.MMSE]
         slack = rep.uatf.ci + rep.cd.ci
         assert np.all(rep.cd.se >= rep.uatf.se - slack)
-
-    def test_aggregates_match_per_ue_values(self):
-        cfg, plan, stats = build_instance(4)
-        scheme = Scheme.LMMSE_LSFD
-        rep = evaluate_schemes(stats, plan, cfg, [scheme], 50, 60, 17)[scheme]
-        # the reported UatF signal/interference/noise aggregates give back each UE's SE
-        prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
-        fluctuation = np.maximum(rep.uatf_interference - rep.uatf_signal, 0.0)
-        sinr = rep.uatf_signal / (fluctuation + rep.uatf_noise)
-        np.testing.assert_allclose(rep.uatf.se, prelog * np.log2(1.0 + sinr), rtol=1e-12)
-        assert rep.draw_count == 60
 
     def test_reproducible_and_paired_across_schemes(self):
         cfg, plan, stats = build_instance(6)
@@ -291,10 +299,11 @@ class TestEngine:
                                             ("gain", "est_gain", "quad", "vnorm2"))
             assert gain.shape == (eval_draws, K, K)
             own_mean = np.array([gain[:, k, k].mean() for k in range(K)])
-            np.testing.assert_allclose(rep.uatf_signal, p * np.abs(own_mean) ** 2, rtol=1e-12)
-            np.testing.assert_allclose(rep.uatf_interference,
-                                       (np.abs(gain) ** 2).mean(axis=0) @ p, rtol=1e-12)
-            np.testing.assert_allclose(rep.uatf_noise, sigma2 * vnorm2.mean(axis=0), rtol=1e-12)
+            signal = p * np.abs(own_mean) ** 2
+            interference = (np.abs(gain) ** 2).mean(axis=0) @ p
+            noise = sigma2 * vnorm2.mean(axis=0)
+            sinr = signal / (np.maximum(interference - signal, 0.0) + noise)
+            np.testing.assert_allclose(rep.uatf.se, prelog * np.log2(1.0 + sinr), rtol=1e-12)
             cd = cd_se(est_gain, quad, vnorm2, p, sigma2, prelog)
             np.testing.assert_allclose(rep.cd.se, cd.se, rtol=1e-12)
 

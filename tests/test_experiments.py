@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellfree_sim import experiments
-from cellfree_sim.channel import build_channel_stats
 from cellfree_sim.cli import main
 from cellfree_sim.errors import ConfigError, NumericalError
 from cellfree_sim.experiments import (
@@ -19,14 +18,12 @@ from cellfree_sim.experiments import (
     DESK_AREA_DEFAULTS,
     EXPERIMENTS,
     ExperimentConfig,
-    _setup_reports,
     config_from_dict,
     parse_config,
     run_experiment,
     write_csv,
 )
-from cellfree_sim.rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
-from cellfree_sim.scenario import _COUNT_FIELDS, MAX_COUNT, deploy
+from cellfree_sim.scenario import _COUNT_FIELDS, MAX_COUNT
 
 TINY_AREA = {
     "side_length_m": 350.0,
@@ -196,23 +193,6 @@ class TestParseConfig:
         counts = [cfg.setups, cfg.stat_budget, cfg.eval_budget,
                   *(getattr(cfg.area, name) for name in _COUNT_FIELDS)]
         assert all(count <= MAX_COUNT for count in counts)
-
-
-class TestSetupBuilder:
-    def test_distance_law_stats_match_build_channel_stats(self, tmp_path, monkeypatch):
-        cfg = tiny_config(tmp_path, experiment="cdf")
-        seen = []
-        monkeypatch.setattr(experiments, "evaluate_schemes",
-                            lambda stats, *args: seen.append(stats) or {})
-        _setup_reports(cfg, cfg.area, 0)
-
-        base = subsequence(cfg.seed, 0)
-        dep = deploy(cfg.area, substream(base, ROLE_DEPLOY))
-        direct = build_channel_stats(dep, cfg.area, substream(base, ROLE_PHASES))
-        assert len(seen) == 1
-        for field in dataclasses.fields(direct):
-            np.testing.assert_array_equal(getattr(seen[0], field.name),
-                                          getattr(direct, field.name), err_msg=field.name)
 
 
 class RecordingPool:
@@ -424,6 +404,19 @@ class TestCli:
         assert (out / "density_sweep.csv").exists()
         content = (out / "density_sweep.csv").read_text()
         assert content.splitlines()[2].endswith(",5")
+
+    @pytest.mark.parametrize("experiment, keys, args", [
+        ("kappa_sweep", {"d_grid": []}, ["--experiment", "density_sweep"]),
+        ("density_sweep", {"kappa_grid": []}, ["--experiment", "kappa_sweep"]),
+        ("cdf", {}, ["--seed", "-1"]),
+    ])
+    def test_overrides_are_validated_like_config_keys(self, tmp_path, experiment, keys, args):
+        # each override makes a config that is a ConfigError when written in the file
+        out = tmp_path / "r"
+        payload = {"experiment": experiment, "area": TINY_AREA, "setups": 1,
+                   "stat_budget": 10, "eval_budget": 10, "out_dir": str(out), **keys}
+        assert main(["--config", write_config(tmp_path, payload), *args]) == 2
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["--config", write_config(tmp_path, "{}")]) == 2

@@ -1,7 +1,8 @@
 """Golden-output gate: small experiments must reproduce the committed CSVs.
 
 The golden files were written by tests/make_golden.py. Text columns must
-match exactly; float columns (sweep, se, ci) within rtol 1e-9, atol 1e-12.
+match exactly, the draw counts `stat_draws` and `eval_draws` included; float
+columns (sweep, se, ci) within rtol 1e-9, atol 1e-12.
 """
 
 import csv
