@@ -51,11 +51,10 @@ class PiSet:
 
 @dataclass(frozen=True)
 class LsfdMoments:
-    """Monte Carlo moments needed for the optimal LSFD weights of each UE."""
+    """Monte Carlo moments of the optimal LSFD weights, per UE k with gains g_ki = (v_lk^H h_li)_l."""
 
-    mean_gain: tuple[np.ndarray, ...]        # f_k, (M_k,) complex
-    second_moments: tuple[np.ndarray, ...]   # (K, M_k, M_k) complex per UE
-    noise_power: tuple[np.ndarray, ...]      # E ||V_l e_k||^2 per serving AP, (M_k,)
+    mean_gain: tuple[np.ndarray, ...]     # f_k = E g_kk, (M_k,) complex
+    denominator: tuple[np.ndarray, ...]   # D_k = sum_i p_i E g_ki g_ki^H + sigma^2 diag(E|v_lk|^2)
 
 
 def mmse_combiner(est: EstimateSet, plan: ServicePlan, sigma2: float) -> np.ndarray:
@@ -130,8 +129,7 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
     pi_sumsq = np.zeros((L, K, K))
     clusters = plan.cluster_of_ue
     f_sum = [np.zeros(len(c), dtype=complex) for c in clusters]
-    g_sum = [np.zeros((K, len(c), len(c)), dtype=complex) for c in clusters]
-    s_sum = [np.zeros(len(c)) for c in clusters]
+    d_sum = [np.zeros((len(c), len(c)), dtype=complex) for c in clusters]
 
     for draws, est in estimated_draws(estimator, mc, stream):
         local = lmmse_local_matrices(est, plan, sigma2)
@@ -151,10 +149,11 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
                 cluster = clusters[k]
                 v_k = local[..., k][:, cluster]                   # (r, M, N)
                 gains = (v_k.conj()[:, :, None, :] @ H[:, cluster])[:, :, 0, :]  # (r, M, K)
-                per_ue = np.ascontiguousarray(gains.transpose(2, 1, 0))        # (K, M, r)
                 f_sum[k] += gains[:, :, k].sum(axis=0)
-                g_sum[k] += per_ue @ per_ue.conj().swapaxes(1, 2)
-                s_sum[k] += (np.abs(v_k) ** 2).sum(axis=(0, 2))
+                # K small products: one (M, r K) product would wake the OpenBLAS threads
+                per_ue = np.ascontiguousarray((gains * sqrt_p).transpose(2, 1, 0))  # (K, M, r)
+                d_sum[k] += (per_ue @ per_ue.conj().swapaxes(1, 2)).sum(axis=0)
+                d_sum[k].flat[::len(cluster) + 1] += sigma2 * (np.abs(v_k) ** 2).sum(axis=(0, 2))
 
     pi = None
     if need_pi:
@@ -163,28 +162,24 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
         pi = PiSet(pi=mean, se=np.sqrt(variance / mc))
     lsfd = None
     if need_lsfd:
-        lsfd = LsfdMoments(
-            mean_gain=tuple(f / mc for f in f_sum),
-            second_moments=tuple(g / mc for g in g_sum),
-            noise_power=tuple(s / mc for s in s_sum),
-        )
+        lsfd = LsfdMoments(mean_gain=tuple(f / mc for f in f_sum),
+                           denominator=tuple(d / mc for d in d_sum))
     return pi, lsfd
 
 
-def lsfd_weights(moments: LsfdMoments, powers: np.ndarray, sigma2: float
-                 ) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """Optimal LSFD weights per UE (maximizers of the UatF Rayleigh quotient).
+def lsfd_weights(moments: LsfdMoments) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """Optimal LSFD weights per UE, a_k = D_k^-1 f_k, and the UEs whose
+    near-singular D_k needed a ridge regularization.
 
-    Returns the weight vectors and the indices of UEs whose systems needed a
-    ridge regularization (near-singular moment matrices).
+    The UatF SINR p_k |a^H f_k|^2 / a^H (D_k - p_k f_k f_k^H) a is maximized by
+    (D_k - p_k f_k f_k^H)^-1 f_k (Bjornson & Sanguinetti, IEEE TWC 2020), which
+    by Sherman-Morrison is D_k^-1 f_k / (1 - p_k f_k^H D_k^-1 f_k). The scalar
+    is real and positive as D_k - p_k f_k f_k^H > 0, and both SE bounds are
+    invariant to a positive scaling of a UE's combiner.
     """
     weights: list[np.ndarray] = []
     flagged: list[int] = []
-    for k, f in enumerate(moments.mean_gain):
-        G = moments.second_moments[k]
-        denom = np.einsum("i,imn->mn", powers, G)
-        denom = denom + sigma2 * np.diag(moments.noise_power[k])
-        denom = denom - powers[k] * np.outer(f, f.conj())
+    for k, (f, denom) in enumerate(zip(moments.mean_gain, moments.denominator)):
         try:
             a = np.linalg.solve(denom, f)
             if not np.all(np.isfinite(a)):

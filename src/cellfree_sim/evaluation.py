@@ -168,7 +168,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
             need_pi=need_pi, need_lsfd=need_lsfd,
         )
         if need_lsfd:
-            weights, flagged = lsfd_weights(lsfd, plan.powers_w, sigma2)
+            weights, flagged = lsfd_weights(lsfd)
             regularized[Scheme.LMMSE_LSFD] = flagged
         if need_pi:
             stage2_full, flagged = stage2_all(pi, plan)

@@ -30,7 +30,7 @@ import numpy as np
 from .beamforming import Scheme
 from .channel import build_channel_stats
 from .channel import pair_geometry, stats_from_geometry  # noqa: F401  (perfbench/tracing.py wraps them)
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .evaluation import SeReport, evaluate_schemes
 from .rng import ROLE_DEPLOY, ROLE_PHASES, subsequence, substream
 from .scenario import AreaConfig, apply_power_control, assign_pilots_and_clusters, deploy
@@ -256,10 +256,13 @@ def _setup_reports(cfg: ExperimentConfig, area: AreaConfig, setup: int,
     dep = deploy(area, substream(base, ROLE_DEPLOY))
     plan = assign_pilots_and_clusters(dep, area)
     plan = apply_power_control(plan, dep, cfg.pc_exponent, area.p_max_w)
-    return [
-        evaluate_schemes(stats, plan, area, cfg.schemes, cfg.stat_budget, cfg.eval_budget, base)
-        for stats in build_channel_stats(dep, area, substream(base, ROLE_PHASES), kappas)
-    ]
+    try:
+        return [
+            evaluate_schemes(stats, plan, area, cfg.schemes, cfg.stat_budget, cfg.eval_budget, base)
+            for stats in build_channel_stats(dep, area, substream(base, ROLE_PHASES), kappas)
+        ]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"setup {setup} (side {area.side_length_m:g} m): {exc}") from exc
 
 
 def _report_rows(cfg: ExperimentConfig, setup: int, sweep: float,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -79,8 +80,8 @@ class AreaConfig:
         for name in ("p_max_w", "pilot_power_w", "noise_power_w"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be > 0")
-        if self.height_diff_m < 0:
-            problems.append("height_diff_m must be >= 0")
+        if not 0 <= self.height_diff_m <= math.sqrt(sys.float_info.max):
+            problems.append("height_diff_m must be >= 0 with a square within the float range")
         if self.shadow_std_db < 0:
             problems.append("shadow_std_db must be >= 0")
         if problems:

@@ -1,6 +1,7 @@
 """Combiner computation: formulas, optimality and scheme equivalences."""
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from cellfree_sim.beamforming import (
@@ -55,18 +56,18 @@ def empirical_pi(est, local, powers):
     return PiSet(pi=cross * np.sqrt(powers)[None, :, None], se=np.zeros_like(cross, dtype=float))
 
 
-def empirical_lsfd_moments(est, local, channels, plan):
+def empirical_lsfd_moments(est, local, channels, plan, sigma2):
     R = est.n_draws
     K = est.estimates.shape[3]
-    f, G, S = [], [], []
+    f, D = [], []
     for k in range(K):
         cluster = plan.cluster_of_ue[k]
         v_k = local[:, cluster][:, :, :, k]
         gains = np.einsum("rmn,rmni->rmi", v_k.conj(), channels[:, cluster])
         f.append(gains[:, :, k].mean(axis=0))
-        G.append(np.einsum("rmi,rsi->ims", gains, gains.conj()) / R)
-        S.append((np.abs(v_k) ** 2).sum(axis=2).mean(axis=0))
-    return LsfdMoments(mean_gain=tuple(f), second_moments=tuple(G), noise_power=tuple(S))
+        G = np.einsum("i,rmi,rsi->ms", plan.powers_w, gains, gains.conj()) / R
+        D.append(G + sigma2 * np.diag((np.abs(v_k) ** 2).sum(axis=2).mean(axis=0)))
+    return LsfdMoments(mean_gain=tuple(f), denominator=tuple(D))
 
 
 class TestMmseCombiner:
@@ -140,21 +141,17 @@ class TestLocalMatrix:
 class TestLsfdWeights:
     def test_silent_ap_gets_zero_weight(self):
         f = np.array([0.9 + 0.1j, 0.0])
-        G = np.zeros((1, 2, 2), dtype=complex)
-        G[0] = np.outer(f, f.conj()) + np.diag([0.2, 0.0])
-        moments = LsfdMoments(mean_gain=(f,), second_moments=(G,),
-                              noise_power=(np.array([0.5, 0.4]),))
-        weights, flagged = lsfd_weights(moments, powers=np.array([1.0]), sigma2=0.3)
+        G = np.outer(f, f.conj()) + np.diag([0.2, 0.0])
+        moments = LsfdMoments(mean_gain=(f,), denominator=(G + 0.3 * np.diag([0.5, 0.4]),))
+        weights, flagged = lsfd_weights(moments)
         assert flagged == ()
         assert abs(weights[0][1]) < 1e-14 * abs(weights[0][0])
 
     def test_singular_moments_fall_back_to_ridge(self):
         f = np.array([1.0 + 0j, 0.0])
-        G = np.zeros((1, 2, 2), dtype=complex)
-        G[0] = np.outer(f, f.conj())
-        moments = LsfdMoments(mean_gain=(f,), second_moments=(G,),
-                              noise_power=(np.array([0.0, 0.0]),))
-        weights, flagged = lsfd_weights(moments, powers=np.array([1.0]), sigma2=0.3)
+        # no noise power at the second AP: D = f f^H is singular
+        moments = LsfdMoments(mean_gain=(f,), denominator=(np.outer(f, f.conj()),))
+        weights, flagged = lsfd_weights(moments)
         assert flagged == (0,)
         assert np.all(np.isfinite(weights[0]))
 
@@ -170,22 +167,43 @@ class TestLsfdWeights:
             G[i] = X @ X.conj().T
         G[k] += np.outer(f, f.conj())
         S = rng.uniform(0.2, 1.0, size=M)
-        moments = LsfdMoments(mean_gain=(f,) * K, second_moments=(G,) * K,
-                              noise_power=(S,) * K)
+        D = np.einsum("i,imn->mn", powers, G) + sigma2 * np.diag(S)
+        moments = LsfdMoments(mean_gain=(f,), denominator=(D,))
 
         def sinr(a):
             num = powers[k] * abs(a.conj() @ f) ** 2
-            B = np.einsum("i,imn->mn", powers, G) + sigma2 * np.diag(S)
-            B = B - powers[k] * np.outer(f, f.conj())
+            B = D - powers[k] * np.outer(f, f.conj())
             return num / (a.conj() @ B @ a).real
 
-        weights, _ = lsfd_weights(moments, powers, sigma2)
-        # moments are shared across UEs here; pick the weight of UE k
-        best = sinr(weights[k])
+        weights, _ = lsfd_weights(moments)
+        best = sinr(weights[0])
         for trial in range(200):
             a = (np.random.default_rng(trial).standard_normal(M)
                  + 1j * np.random.default_rng(trial + 999).standard_normal(M))
             assert sinr(a) <= best * (1 + 1e-9)
+
+    @pytest.mark.parametrize("M", [1, 3, 8])
+    def test_sherman_morrison_step(self, rng, M):
+        # D^-1 f is a positive real multiple of the Rayleigh-quotient maximizer
+        # (D - p f f^H)^-1 f, so both give the same UatF SINR
+        p = 0.7
+        f = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        X = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+        B = X @ X.conj().T + M * np.eye(M)          # D - p f f^H, Hermitian and > 0
+        D = B + p * np.outer(f, f.conj())
+        weights, flagged = lsfd_weights(LsfdMoments(mean_gain=(f,), denominator=(D,)))
+        a, b = weights[0], np.linalg.solve(B, f)
+        assert flagged == ()
+
+        scale = np.vdot(b, a) / np.vdot(b, b)
+        assert scale.real > 0 and abs(scale.imag) <= 1e-12 * scale.real
+        np.testing.assert_allclose(a, scale.real * b, rtol=1e-12)
+        np.testing.assert_allclose(scale.real, 1.0 - p * np.vdot(f, a).real, rtol=1e-12)
+
+        def sinr(w):
+            return p * abs(np.vdot(w, f)) ** 2 / np.vdot(w, B @ w).real
+
+        np.testing.assert_allclose(sinr(a), sinr(b), rtol=1e-12)
 
 
 class TestPiEstimation:
@@ -239,12 +257,10 @@ class TestLsfdMoments:
         draws = sample_channels(stats, np.random.default_rng(0), 1)
         est = estimator.estimate(draws, np.random.default_rng(1))
         local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
-        exact = empirical_lsfd_moments(est, local, draws.true_channels, plan)
+        exact = empirical_lsfd_moments(est, local, draws.true_channels, plan, cfg.noise_power_w)
         for k in range(2):
             np.testing.assert_allclose(moments.mean_gain[k], exact.mean_gain[k], rtol=1e-12)
-            np.testing.assert_allclose(moments.second_moments[k], exact.second_moments[k],
-                                       rtol=1e-12)
-            np.testing.assert_allclose(moments.noise_power[k], exact.noise_power[k], rtol=1e-12)
+            np.testing.assert_allclose(moments.denominator[k], exact.denominator[k], rtol=1e-12)
 
 
 class TestStageTwo:
@@ -381,8 +397,8 @@ class TestSchemeEquivalences:
         centralized = mmse_combiner(est, plan, sigma2)
         stage2, _ = stage2_all(empirical_pi(est, local, powers), plan)
         team = assemble_ltmmse(local, stage2, plan)
-        moments = empirical_lsfd_moments(est, local, draws.true_channels, plan)
-        weights, _ = lsfd_weights(moments, powers, sigma2)
+        moments = empirical_lsfd_moments(est, local, draws.true_channels, plan, sigma2)
+        weights, _ = lsfd_weights(moments)
         weighted = assemble_lmmse_lsfd(local, weights, plan)
         unit = assemble_lmmse_lsfd(local, [np.ones(len(c)) for c in plan.cluster_of_ue],
                                    plan)

@@ -268,7 +268,7 @@ class TestEngine:
         estimator = PilotEstimator(stats, plan, cfg)
         pi, lsfd = statistics_pass(estimator, stat_draws,
                                    subsequence(stream, ROLE_STATISTICS), need_pi=True, need_lsfd=True)
-        weights, _ = lsfd_weights(lsfd, p, sigma2)
+        weights, _ = lsfd_weights(lsfd)
         stage2, _ = stage2_all(pi, plan)
 
         K = len(p)

@@ -34,6 +34,10 @@ TINY_AREA = {
 }
 
 
+# The smallest area on which every scheme has several APs per cluster.
+TOY_AREA = {**TINY_AREA, "ap_count": 9, "ue_count": 4, "antennas_per_ap": 2}
+
+
 def tiny_config(tmp_path, experiment="kappa_sweep", **overrides):
     raw = {
         "experiment": experiment,
@@ -96,6 +100,12 @@ def write_config(tmp_path, payload) -> str:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload) if isinstance(payload, dict) else payload)
     return str(path)
+
+
+def se_and_ci(csv_path) -> list[float]:
+    """Every `se` and `ci` value of a result CSV."""
+    lines = csv_path.read_text().splitlines()[2:]
+    return [float(value) for line in lines for value in line.split(",")[6:8]]
 
 
 class TestParseConfig:
@@ -441,14 +451,53 @@ class TestCli:
     @pytest.mark.parametrize("exponent", [50.0, -50.0])
     def test_extreme_power_control_exponent_runs(self, tmp_path, exponent):
         # sums**v over- or underflows at |v| = 50, which once ended in a LinAlgError
-        payload = {"experiment": "cdf",
-                   "area": {**TINY_AREA, "ap_count": 9, "ue_count": 4, "antennas_per_ap": 2},
+        payload = {"experiment": "cdf", "area": TOY_AREA,
                    "setups": 1, "stat_budget": 20, "eval_budget": 20,
                    "pc_exponent": exponent, "out_dir": str(tmp_path / "r")}
         assert main(["--config", write_config(tmp_path, payload)]) == 0
-        lines = (tmp_path / "r" / "cdf.csv").read_text().splitlines()[2:]
-        values = [float(value) for line in lines for value in line.split(",")[6:8]]
+        values = se_and_ci(tmp_path / "r" / "cdf.csv")
         assert values and all(math.isfinite(value) for value in values)
+
+    @pytest.mark.parametrize("key, value", [
+        ("shadow_std_db", 400.0), ("shadow_std_db", 1e6),
+        ("height_diff_m", 0.0), ("height_diff_m", 1e300),
+        ("side_length_m", 1e-300), ("side_length_m", 1e300),
+        *[(key, value) for key in ("p_max_w", "pilot_power_w", "noise_power_w")
+          for value in (1e-300, 1e300)],
+        ("carrier_freq_mhz", 1e300),
+        ("d_m", 1e-300), ("d_m", 1e300),
+    ])
+    def test_extreme_area_values_end_in_a_defined_exit(self, tmp_path, key, value):
+        # a run, not only a parse: success with finite results, or exit 2 or 3
+        if key == "d_m":
+            payload = {"experiment": "density_sweep", "area": TOY_AREA,
+                       "d_grid": [{"d_m": value}]}
+        else:
+            payload = {"experiment": "cdf", "area": {**TOY_AREA, key: value}}
+        out = tmp_path / "r"
+        payload.update(setups=1, stat_budget=10, eval_budget=10, seed=3, out_dir=str(out))
+        code = main(["--config", write_config(tmp_path, payload)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            values = se_and_ci(out / f"{payload['experiment']}.csv")
+            assert values and all(math.isfinite(value) for value in values)
+
+    def test_height_with_overflowing_square_exits_with_config_error(self, tmp_path, capsys):
+        payload = {"experiment": "cdf", "area": {**TOY_AREA, "height_diff_m": 1e300},
+                   "setups": 1, "out_dir": str(tmp_path / "r")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert "height_diff_m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shadow_std_db", [400.0, 1e6])
+    def test_linear_algebra_failure_exits_with_numerical_error(self, tmp_path, capsys,
+                                                               shadow_std_db):
+        # 400 dB makes a local MMSE system singular in the statistics pass;
+        # 1e6 dB makes the stage-two least-squares fallback fail to converge
+        payload = {"experiment": "cdf", "area": {**TOY_AREA, "shadow_std_db": shadow_std_db},
+                   "setups": 1, "stat_budget": 10, "eval_budget": 10, "seed": 3,
+                   "out_dir": str(tmp_path / "r")}
+        assert main(["--config", write_config(tmp_path, payload)]) == 3
+        assert "setup 0" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch):
         payload = {"experiment": "cdf", "area": TINY_AREA, "setups": 1,

@@ -122,16 +122,12 @@ def test_stage_two_follows_ue_relabelling(instance):
 
 
 def test_lsfd_weights_follow_ue_relabelling(instance):
-    cfg, plan, _, _, _, moments = instance
+    *_, moments = instance
     o = UE_ORDER
-    relabelled = LsfdMoments(
-        mean_gain=tuple(moments.mean_gain[k] for k in o),
-        second_moments=tuple(moments.second_moments[k][o] for k in o),
-        noise_power=tuple(moments.noise_power[k] for k in o),
-    )
-    weights, flagged = lsfd_weights(moments, plan.powers_w, cfg.noise_power_w)
-    weights_relabelled, flagged_relabelled = lsfd_weights(relabelled, plan.powers_w[o],
-                                                          cfg.noise_power_w)
+    relabelled = LsfdMoments(mean_gain=tuple(moments.mean_gain[k] for k in o),
+                             denominator=tuple(moments.denominator[k] for k in o))
+    weights, flagged = lsfd_weights(moments)
+    weights_relabelled, flagged_relabelled = lsfd_weights(relabelled)
     for j, k in enumerate(o):
         assert_permuted(weights_relabelled[j], weights[k])
     assert sorted(o[list(flagged_relabelled)]) == sorted(flagged)
