@@ -269,7 +269,7 @@ def build_channel_stats(dep: Deployment, cfg: AreaConfig, rng: np.random.Generat
     return [stats_from_geometry(geom, dep, phases, kappa) for kappa in kappas]
 
 
-def sample_channels(stats: ChannelStats, rng: np.random.Generator, n_draws: int = 1) -> ChannelDraw:
+def sample_channels(stats: ChannelStats, rng: np.random.Generator, n_draws: int) -> ChannelDraw:
     """Draw i.i.d. coherence-block channel realizations.
 
     Each pair gets mean + F z with z standard complex normal, independent

@@ -13,9 +13,6 @@ Both bounds carry the pilot-overhead prelog (tau_c - tau_p) / tau_c.
 Confidence intervals come from batch means: draws are split into fixed
 batches by draw index, the statistic is recomputed per batch, and the spread
 of the batch values scales the reported halfwidth.
-
-`error_statistics_check` checks the estimator's moments by Monte Carlo on
-the same draw pipeline.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ def _batch_ci(se_of, *per_draw: np.ndarray) -> np.ndarray:
 
 
 def _uatf_from_moments(mean_gain, mean_abs2, mean_vnorm2, powers, sigma2, prelog):
-    """SINR and SE from UatF moment triplets; returns (se, parts, clamped)."""
+    """SINR and SE from UatF moment triplets; returns (se, clamped)."""
     signal = powers * np.abs(mean_gain) ** 2                    # p_k |E g_kk|^2
     interference = mean_abs2 @ powers                           # sum_i p_i E |g_ki|^2
     noise = sigma2 * mean_vnorm2
@@ -85,11 +82,11 @@ def _uatf_from_moments(mean_gain, mean_abs2, mean_vnorm2, powers, sigma2, prelog
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = np.where(denom > 0.0, signal / np.where(denom > 0.0, denom, 1.0), 0.0)
     se = prelog * np.log2(1.0 + sinr)
-    return se, (signal, interference, noise), clamped
+    return se, clamped
 
 
 def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: float,
-            prelog: float) -> tuple[BoundEstimate, dict]:
+            prelog: float) -> tuple[BoundEstimate, tuple[int, ...]]:
     """UatF bound from per-draw combined TRUE channel gains.
 
     `gains[r, k, i]` is the combined channel of UE i through UE k's combiner,
@@ -98,7 +95,8 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
     interference - signal = p_k (mean|g_kk|^2 - |mean g_kk|^2)
     + sum_{i != k} p_i mean|g_ki|^2 is >= 0 by Jensen's inequality; only
     rounding can make it negative (a UE whose own gain is constant across
-    draws). It is then clamped at zero and the UE is flagged.
+    draws). It is then clamped at zero and the UE is flagged: the second
+    return value holds the clamped UEs.
     """
     R, K, _ = gains.shape
     if R < 2:
@@ -110,11 +108,9 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
         return _uatf_from_moments(own.mean(axis=0), abs2.mean(axis=0), vnorm2.mean(axis=0),
                                   powers, sigma2, prelog)
 
-    se_full, parts, clamped = moments(own, abs2, vnorm2)
+    se_full, clamped = moments(own, abs2, vnorm2)
     ci = _batch_ci(lambda *batch: moments(*batch)[0], own, abs2, vnorm2)
-    extras = dict(zip(("signal", "interference", "noise"), parts),
-                  clamped_ues=tuple(np.flatnonzero(clamped).tolist()))
-    return BoundEstimate(se=se_full, ci=ci), extras
+    return BoundEstimate(se=se_full, ci=ci), tuple(np.flatnonzero(clamped).tolist())
 
 
 def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
@@ -205,111 +201,12 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
         gh = np.concatenate(est_gains[scheme])
         quad = np.concatenate(quads[scheme])
         vnorm2 = np.concatenate(vnorms[scheme])
-        uatf, extras = uatf_se(g, vnorm2, plan.powers_w, sigma2, prelog)
+        uatf, clamped = uatf_se(g, vnorm2, plan.powers_w, sigma2, prelog)
         cd = cd_se(gh, quad, vnorm2, plan.powers_w, sigma2, prelog)
         reports[scheme] = SeReport(
             uatf=uatf,
             cd=cd,
-            clamped_ues=extras["clamped_ues"],
+            clamped_ues=clamped,
             regularized_ues=regularized[scheme],
         )
     return reports
-
-
-@dataclass(frozen=True)
-class EstimationDiagnostics:
-    """Empirical consistency report for the estimator on one setup."""
-
-    max_mean_dev_se: float      # worst |emp. mean - phased LoS| in standard errors
-    max_errcov_dev_se: float    # worst error-covariance entry deviation in standard errors
-    max_cross_dev_se: float     # worst estimate/error cross-covariance entry in standard errors
-    copilot_pairs: tuple[tuple[int, int], ...]
-    copilot_estimate_corr: tuple[float, ...]  # shared-pilot estimate correlation per pair
-
-    def within(self, se_limit: float = 5.0) -> bool:
-        return max(self.max_mean_dev_se, self.max_errcov_dev_se, self.max_cross_dev_se) <= se_limit
-
-
-def error_statistics_check(estimator: PilotEstimator, n_draws: int, stream,
-                           min_draws: int = 10_000) -> EstimationDiagnostics:
-    """Monte Carlo check of the estimator's first and second moments.
-
-    Verifies that estimates average to the phased LoS mean, that the
-    estimation error has the predicted covariance, and that estimate and
-    error are empirically uncorrelated. Deviations are reported in standard
-    errors of the corresponding empirical moment. Copilot estimate
-    correlation is reported separately: it is expected, not a defect. The
-    draws come from `estimated_draws(estimator, n_draws, stream)`, where
-    `stream` is a seed or a SeedSequence.
-    """
-    if n_draws < min_draws:
-        raise ConfigError(f"need at least {min_draws} draws for stable diagnostics")
-    stats, plan = estimator.stats, estimator.plan
-    K, L, N = stats.los_mean.shape
-    phased = stats.los_mean.transpose(1, 2, 0)           # (L, N, K)
-
-    sum_est = np.zeros((L, N, K), dtype=complex)
-    sumsq_est = np.zeros((L, N, K))
-    sum_err = np.zeros((L, N, K), dtype=complex)
-    sum_err_outer = np.zeros((K, L, N, N), dtype=complex)
-    sumsq_err_outer = np.zeros((K, L, N, N))
-    sum_cross = np.zeros((K, L, N, N), dtype=complex)
-    sumsq_cross = np.zeros((K, L, N, N))
-    sum_innov_outer = np.zeros((K, L, N, N), dtype=complex)
-    pilot = plan.pilot_of_ue
-    pairs = [(k, i) for k in range(K) for i in range(k + 1, K) if pilot[k] == pilot[i]]
-    sum_pair = np.zeros((max(len(pairs), 1), L, N, N), dtype=complex)
-
-    for draws, est in estimated_draws(estimator, n_draws, stream):
-        err = draws.true_channels - est.estimates        # (r, L, N, K)
-        innov = est.estimates - phased[None]
-
-        sum_est += est.estimates.sum(axis=0)
-        sumsq_est += (np.abs(est.estimates) ** 2).sum(axis=0)
-        sum_err += err.sum(axis=0)
-        sum_err_outer += np.einsum("rlnk,rlmk->klnm", err, err.conj())
-        sumsq_err_outer += np.einsum("rlnk,rlmk->klnm", np.abs(err) ** 2, np.abs(err) ** 2)
-        sum_cross += np.einsum("rlnk,rlmk->klnm", est.estimates, err.conj())
-        sumsq_cross += np.einsum("rlnk,rlmk->klnm", np.abs(est.estimates) ** 2, np.abs(err) ** 2)
-        sum_innov_outer += np.einsum("rlnk,rlmk->klnm", innov, innov.conj())
-        for p, (k, i) in enumerate(pairs):
-            sum_pair[p] += np.einsum("rln,rlm->lnm", innov[:, :, :, k], innov[:, :, :, i].conj())
-
-    def se_ratio(dev, second_moment, first_moment):
-        variance = np.maximum(second_moment / n_draws - np.abs(first_moment / n_draws) ** 2, 0.0)
-        se = np.sqrt(variance / n_draws)
-        scale = max(float(np.abs(first_moment).max()) / n_draws, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(se > 0, dev / se, np.where(dev > 1e-9 * scale, np.inf, 0.0))
-        return float(ratio.max())
-
-    mean_est = sum_est / n_draws
-    mean_dev = np.abs(mean_est - phased)
-    max_mean = se_ratio(mean_dev, sumsq_est, sum_est)
-
-    mean_err = sum_err / n_draws
-    emp_err_cov = sum_err_outer / n_draws - np.einsum(
-        "lnk,lmk->klnm", mean_err, mean_err.conj()
-    )
-    target = estimator.err_cov
-    max_errcov = se_ratio(np.abs(emp_err_cov - target), sumsq_err_outer, sum_err_outer)
-
-    emp_cross = sum_cross / n_draws - np.einsum("lnk,lmk->klnm", mean_est, mean_err.conj())
-    max_cross = se_ratio(np.abs(emp_cross), sumsq_cross, sum_cross)
-
-    self_norm = np.linalg.norm(sum_innov_outer / n_draws, axis=(2, 3))  # (K, L)
-    corr = []
-    for p, (k, i) in enumerate(pairs):
-        cross_norm = np.linalg.norm(sum_pair[p] / n_draws, axis=(1, 2))  # (L,)
-        denom = np.sqrt(self_norm[k] * self_norm[i])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(denom > 0, cross_norm / denom, 0.0)
-        corr.append(float(ratios.max()))
-
-    return EstimationDiagnostics(
-        max_mean_dev_se=max_mean,
-        max_errcov_dev_se=max_errcov,
-        max_cross_dev_se=max_cross,
-        copilot_pairs=tuple(pairs),
-        copilot_estimate_corr=tuple(corr),
-    )

@@ -26,15 +26,9 @@ def substream(base: np.random.SeedSequence | int, *key: int) -> np.random.Genera
     return np.random.default_rng(subsequence(base, *key))
 
 
-def as_seed_sequence(base: np.random.SeedSequence | int) -> np.random.SeedSequence:
-    if isinstance(base, np.random.SeedSequence):
-        return base
-    return np.random.SeedSequence(int(base))
-
-
 def subsequence(base: np.random.SeedSequence | int, *key: int) -> np.random.SeedSequence:
     """Child seed sequence for a fixed key path (for further derivation)."""
-    seq = as_seed_sequence(base)
+    seq = base if isinstance(base, np.random.SeedSequence) else np.random.SeedSequence(int(base))
     return np.random.SeedSequence(
         entropy=seq.entropy, spawn_key=tuple(seq.spawn_key) + tuple(int(k) for k in key)
     )

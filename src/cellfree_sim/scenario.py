@@ -82,6 +82,11 @@ class AreaConfig:
                 problems.append(f"{name} must be > 0")
         if not 0 <= self.height_diff_m <= math.sqrt(sys.float_info.max):
             problems.append("height_diff_m must be >= 0 with a square within the float range")
+        # a UE lies less than 2 sides from each mirror copy of an AP along either axis
+        elif math.hypot(2.0 * math.sqrt(2.0) * self.side_length_m,
+                        self.height_diff_m) > math.sqrt(sys.float_info.max):
+            problems.append("side_length_m (d_m of a density sweep) must keep every squared "
+                            "wrapped distance within the float range")
         if self.shadow_std_db < 0:
             problems.append("shadow_std_db must be >= 0")
         if problems:
@@ -108,21 +113,6 @@ class ServicePlan:
     cluster_of_ue: tuple[np.ndarray, ...]  # per UE, sorted indices of serving APs
     powers_w: np.ndarray                  # (K,) uplink data power
     pilot_powers_w: np.ndarray            # (K,) uplink pilot power
-
-
-def wrapped_distance(a, b, side: float, dh: float) -> float:
-    """3-D distance between ground positions `a` and `b` on the wrapped square.
-
-    Returns min over the 9 mirror copies of `b` of sqrt(|a - b'|^2 + dh^2).
-    A zero side collapses all copies onto `b` itself.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if side < 0:
-        raise ConfigError("side must be >= 0")
-    diff = a - (b + _WRAP_SHIFTS * side)
-    planar_sq = np.min(np.sum(diff**2, axis=-1))
-    return float(np.sqrt(planar_sq + dh**2))
 
 
 def path_gain_db(d_m, f_mhz, shadow_db=0.0):
@@ -237,7 +227,9 @@ def power_control(gains_db: np.ndarray, clusters, v: float, p_max: float) -> np.
     beta_lin = 10.0 ** (np.asarray(gains_db, dtype=float) / 10.0)
     sums = np.array([beta_lin[k, cluster].sum() for k, cluster in enumerate(clusters)])
     if v < 0 and np.any(sums == 0.0):
-        raise ConfigError("zero cluster gain sum with negative power-control exponent")
+        raise ConfigError("every serving gain of a UE underflows to zero, which a negative "
+                          "power-control exponent cannot weight; lower side_length_m (d_m of "
+                          "a density sweep) or carrier_freq_mhz")
     if v == 0:  # full power, also for a zero sum, where v * ln 0 would be NaN
         return np.full(sums.shape, float(p_max))
     # ln 0 = -inf gives a zero sum power 0 for v > 0, and so does an exponent

@@ -27,9 +27,11 @@ from cellfree_sim.channel import (
     sample_channels,
 )
 from cellfree_sim.estimation import PilotEstimator
-from cellfree_sim.evaluation import error_statistics_check, evaluate_schemes
+from cellfree_sim.evaluation import evaluate_schemes
 from cellfree_sim.experiments import config_from_dict, run_experiment
 from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
+
+from oracles import error_statistics_check
 
 PASS = "ACCEPTANCE {}: PASS ({:.1f} s) - {}"
 

@@ -7,10 +7,10 @@ from scipy.linalg import cho_factor, cho_solve
 from cellfree_sim.channel import build_channel_stats, sample_channels
 from cellfree_sim.errors import ConfigError
 from cellfree_sim.estimation import PilotEstimator
-from cellfree_sim.evaluation import error_statistics_check
 from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
 
 from conftest import build_instance, make_cfg, make_plan, make_stats
+from oracles import error_statistics_check
 
 
 def identity_cov(K, L, N, scale=1.0):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,17 @@ class TestRunExperiment:
             one, first = [key(row) for row in one], [key(row) for row in first]
         assert first == one
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_toy_run_raises_no_runtime_warning(self, tmp_path, experiment):
+        # a NaN or an overflow that numpy only warns about fails the run here;
+        # the default kappa and d grids span the distance law's whole range
+        cfg = config_from_dict({"experiment": experiment, "area": TOY_AREA, "setups": 2,
+                                "stat_budget": 20, "eval_budget": 20, "seed": 99,
+                                "out_dir": str(tmp_path / "out")})
+        rows, _ = run_experiment(cfg)
+        assert rows and all(math.isfinite(row.se) and math.isfinite(row.ci) for row in rows)
+
 
 class TestCsvContract:
     def test_row_count_and_schema(self, tmp_path):
@@ -461,13 +473,14 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("shadow_std_db", 400.0), ("shadow_std_db", 1e6),
         ("height_diff_m", 0.0), ("height_diff_m", 1e300),
-        ("side_length_m", 1e-300), ("side_length_m", 1e300),
+        ("side_length_m", 1e-300), ("side_length_m", 1e130), ("side_length_m", 1e160),
+        ("side_length_m", 1e300),
         *[(key, value) for key in ("p_max_w", "pilot_power_w", "noise_power_w")
           for value in (1e-300, 1e300)],
         ("carrier_freq_mhz", 1e300),
-        ("d_m", 1e-300), ("d_m", 1e300),
+        ("d_m", 1e-300), ("d_m", 1e130), ("d_m", 1e300),
     ])
-    def test_extreme_area_values_end_in_a_defined_exit(self, tmp_path, key, value):
+    def test_extreme_area_values_end_in_a_defined_exit(self, tmp_path, capsys, key, value):
         # a run, not only a parse: success with finite results, or exit 2 or 3
         if key == "d_m":
             payload = {"experiment": "density_sweep", "area": TOY_AREA,
@@ -476,11 +489,20 @@ class TestCli:
             payload = {"experiment": "cdf", "area": {**TOY_AREA, key: value}}
         out = tmp_path / "r"
         payload.update(setups=1, stat_budget=10, eval_budget=10, seed=3, out_dir=str(out))
-        code = main(["--config", write_config(tmp_path, payload)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--config", write_config(tmp_path, payload)])
         assert code in (0, 2, 3)
         if code == 0:
             values = se_and_ci(out / f"{payload['experiment']}.csv")
             assert values and all(math.isfinite(value) for value in values)
+        if key in ("side_length_m", "d_m", "carrier_freq_mhz") and value > 1e100:
+            # every gain underflows (1e130) or a squared distance would
+            # overflow (1e160, 1e300): a config error that names the key,
+            # raised before numpy warns about anything
+            assert code == 2
+            assert key in capsys.readouterr().err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_height_with_overflowing_square_exits_with_config_error(self, tmp_path, capsys):
         payload = {"experiment": "cdf", "area": {**TOY_AREA, "height_diff_m": 1e300},

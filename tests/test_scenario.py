@@ -14,8 +14,9 @@ from cellfree_sim.scenario import (
     path_gain_db,
     power_control,
     rician_factor,
-    wrapped_distance,
 )
+
+from oracles import wrapped_distance
 
 TABLE_CFG = AreaConfig()  # reference large-network parameter set
 
