@@ -227,7 +227,7 @@ def ltmmse_stage2(pi: PiSet, cluster: np.ndarray, k: int) -> tuple[np.ndarray, b
     return solution.reshape(M, K), fallback
 
 
-def assemble_ltmmse(local: np.ndarray, stage2_full: np.ndarray, plan: ServicePlan) -> np.ndarray:
+def assemble_ltmmse(local: np.ndarray, stage2_full: np.ndarray) -> np.ndarray:
     """Apply the statistical second stage to per-draw local matrices.
 
     `stage2_full` is (K, L, K) with zero rows for non-serving APs, so the

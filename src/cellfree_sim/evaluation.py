@@ -186,7 +186,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
             elif scheme is Scheme.LMMSE_LSFD:
                 v = assemble_lmmse_lsfd(local, weights, plan)
             else:
-                v = assemble_ltmmse(local, stage2_full, plan)
+                v = assemble_ltmmse(local, stage2_full)
             # gains[r, k, i] = v_k^H h_i over all L*N antennas
             v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
             gains[scheme].append(v_h @ draws.true_channels.reshape(R, L * N, K))

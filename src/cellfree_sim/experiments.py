@@ -6,11 +6,10 @@ schemes on shared draws, and writes one CSV per experiment. Rows are fully
 deterministic for a given config and seed (the CSV carries a timestamped
 comment line that should be skipped when comparing outputs).
 
-CSV schema:
-    experiment,setup,sweep,scheme,bound,ue,se,ci,stat_draws,eval_draws,seed
-Per-UE rows use the UE index in the `ue` column; aggregate rows use `min` or
-`sum`. For the CDF experiment `sweep` holds the empirical CDF coordinate of
-the row's SE sample. Floats are serialized with 17 significant digits.
+The CSV has one column per `ResultRow` field, in field order. Per-UE rows
+use the UE index in the `ue` column; aggregate rows use `min` or `sum`. For
+the CDF experiment `sweep` holds the empirical CDF coordinate of the row's
+SE sample. Floats are serialized with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -59,17 +58,18 @@ DEFAULT_D_GRID_M = (200.0, 400.0, 600.0, 800.0, 1000.0)
 # Reference operating point for the proportional p_max scaling along d.
 _P_MAX_PER_METER = 0.1 / 1000.0
 
-CSV_HEADER = "experiment,setup,sweep,scheme,bound,ue,se,ci,stat_draws,eval_draws,seed"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated run plan. `grid` holds `((area, ((sweep, kappa), ...)), ...)`,
+    a kappa of `None` meaning the distance law: one area for every kappa
+    (paired comparisons), one per density point (p_max proportional to d at
+    the pilot/data power ratio), or one cdf point."""
+
     experiment: str
-    area: AreaConfig
+    grid: tuple[tuple[AreaConfig, tuple[tuple[float, float | None], ...]], ...]
     schemes: tuple[Scheme, ...]
     pc_exponent: float
-    kappa_grid: tuple[float, ...]
-    d_grid: tuple[tuple[float, float], ...]   # (side length m, p_max W)
     setups: int
     stat_budget: int
     eval_budget: int
@@ -92,23 +92,10 @@ class ResultRow:
     seed: int
 
     def to_csv(self) -> str:
-        return ",".join([
-            self.experiment,
-            str(self.setup),
-            _fmt(self.sweep),
-            self.scheme.value,
-            self.bound,
-            self.ue,
-            _fmt(self.se),
-            _fmt(self.ci),
-            str(self.stat_draws),
-            str(self.eval_draws),
-            str(self.seed),
-        ])
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+        """The row in field order: floats with 17 significant digits, the scheme by value."""
+        cells = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return ",".join(f"{cell:.17g}" if isinstance(cell, float)
+                        else str(getattr(cell, "value", cell)) for cell in cells)
 
 
 def parse_config(path, overrides=None) -> ExperimentConfig:
@@ -187,11 +174,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     elif experiment == "kappa_sweep" and not kappa_grid:
         problems.append("kappa_grid must not be empty for kappa_sweep")
 
-    d_grid_raw = raw.get("d_grid")
+    d_grid_raw = raw.get("d_grid", [{"d_m": d} for d in DEFAULT_D_GRID_M])
     d_grid: tuple[tuple[float, float], ...] = ()
-    if d_grid_raw is None:
-        d_grid = tuple((d, d * _P_MAX_PER_METER) for d in DEFAULT_D_GRID_M)
-    elif not isinstance(d_grid_raw, list) or not all(isinstance(i, dict) for i in d_grid_raw):
+    if not isinstance(d_grid_raw, list) or not all(isinstance(i, dict) for i in d_grid_raw):
         problems.append("d_grid must be a list of objects")
     else:
         unknown_item = set().union(*d_grid_raw) - {"d_m", "p_max_w"}
@@ -226,15 +211,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(out_dir, (str, os.PathLike)):
         problems.append("out_dir must be a path string")
 
+    if not problems:  # every raw key is well formed: resolve the grid's areas
+        if experiment == "kappa_sweep":
+            grid = ((area, tuple((float(kappa), kappa) for kappa in kappa_grid)),)
+        elif experiment == "density_sweep":
+            pilot_ratio = area.pilot_power_w / area.p_max_w
+            grid = tuple((dataclasses.replace(area, side_length_m=d, p_max_w=p_max,
+                                              pilot_power_w=pilot_ratio * p_max), ((d, None),))
+                         for d, p_max in d_grid)
+            for d_area, ((d, _),) in grid:
+                try:
+                    d_area.validate()
+                except ConfigError as exc:
+                    problems.append(f"d_grid d_m={d:g}: {exc}")
+        else:
+            grid = ((area, ((0.0, None),)),)
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
     return ExperimentConfig(
         experiment=experiment,
-        area=area,
+        grid=grid,
         schemes=schemes,
         pc_exponent=float(pc_exponent),
-        kappa_grid=tuple(kappa_grid),
-        d_grid=d_grid,
         setups=setups,
         stat_budget=stat_budget,
         eval_budget=eval_budget,
@@ -244,7 +242,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _setup_reports(cfg: ExperimentConfig, area: AreaConfig, setup: int,
-                   kappas=(None,)) -> list[dict[Scheme, SeReport]]:
+                   kappas: list[float | None]) -> list[dict[Scheme, SeReport]]:
     """Deploy, plan and evaluate one setup at each Rician factor in `kappas`.
 
     `None` means the distance law. The deployment, plan, LoS phases and the
@@ -287,27 +285,6 @@ def _report_rows(cfg: ExperimentConfig, setup: int, sweep: float,
     return rows
 
 
-def _grid(cfg: ExperimentConfig) -> list[tuple[AreaConfig, list[tuple[float, float | None]]]]:
-    """Grid points grouped by the area they run on: `[(area, [(sweep, kappa), ...])]`.
-
-    A kappa of `None` means the distance law. The kappa sweep overrides the
-    Rician factor on one area, so every grid point of a setup shares its
-    deployment and geometry (paired comparisons). The density sweep scales
-    the area with p_max proportional to d, keeping the pilot/data power
-    ratio. The cdf experiment has one point.
-    """
-    if cfg.experiment == "kappa_sweep":
-        return [(cfg.area, [(float(kappa), kappa) for kappa in cfg.kappa_grid])]
-    if cfg.experiment == "density_sweep":
-        pilot_ratio = cfg.area.pilot_power_w / cfg.area.p_max_w
-        return [(dataclasses.replace(cfg.area, side_length_m=d, p_max_w=p_max,
-                                     pilot_power_w=pilot_ratio * p_max), [(float(d), None)])
-                for d, p_max in cfg.d_grid]
-    if cfg.experiment == "cdf":
-        return [(cfg.area, [(0.0, None)])]
-    raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
-
-
 def _cdf_rows(rows: list[ResultRow]) -> list[ResultRow]:
     """Pool the per-UE rows of all setups per (scheme, bound) and emit them
     sorted, with empirical CDF coordinates in the sweep column."""
@@ -331,13 +308,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Result
     The output directory is created before any setup runs, so an unusable
     `out_dir` fails at once.
     """
-    grid = _grid(cfg)
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     tasks = [(area, setup, [kappa for _, kappa in points])
-             for area, points in grid for setup in range(cfg.setups)]
+             for area, points in cfg.grid for setup in range(cfg.setups)]
     workers = min(threads, len(tasks))
     if workers <= 1:
         results = [_setup_reports(cfg, *task) for task in tasks]
@@ -346,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Result
             results = list(pool.map(lambda task: _setup_reports(cfg, *task), tasks))
 
     rows = []
-    for g, (_, points) in enumerate(grid):
+    for g, (_, points) in enumerate(cfg.grid):
         per_setup = results[g * cfg.setups:(g + 1) * cfg.setups]
         for i, (sweep, _) in enumerate(points):
             for setup, reports in enumerate(per_setup):
@@ -359,7 +335,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Result
 def write_csv(cfg: ExperimentConfig, rows: list[ResultRow]) -> Path:
     path = cfg.out_dir / f"{cfg.experiment}.csv"
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    lines = [f"# cellfree-sim generated {stamp}", CSV_HEADER]
+    header = ",".join(f.name for f in dataclasses.fields(ResultRow))
+    lines = [f"# cellfree-sim generated {stamp}", header]
     lines.extend(row.to_csv() for row in rows)
     try:
         path.write_text("\n".join(lines) + "\n")

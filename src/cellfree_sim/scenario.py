@@ -77,7 +77,7 @@ class AreaConfig:
             problems.append("side_length_m must be > 0")
         if self.pilot_count > self.coherence_symbols:
             problems.append("pilot_count must not exceed coherence_symbols")
-        for name in ("p_max_w", "pilot_power_w", "noise_power_w"):
+        for name in ("carrier_freq_mhz", "p_max_w", "pilot_power_w", "noise_power_w"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be > 0")
         if not 0 <= self.height_diff_m <= math.sqrt(sys.float_info.max):
@@ -156,6 +156,9 @@ def deploy(cfg: AreaConfig, rng: np.random.Generator) -> Deployment:
 
     shadow = rng.normal(0.0, cfg.shadow_std_db, size=d3d.shape)
     gains_db = path_gain_db(d3d, cfg.carrier_freq_mhz, shadow)
+    if np.any(gains_db >= 10.0 * math.log10(sys.float_info.max)):  # 10 ** (gain / 10) = inf
+        raise ConfigError("a channel gain overflows the float range as a linear value; lower "
+                          "shadow_std_db or raise carrier_freq_mhz")
 
     return Deployment(
         ap_xy=ap_xy,

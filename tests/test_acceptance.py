@@ -90,8 +90,7 @@ def test_criterion_1_pure_los_team_equals_centralized():
     pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(2),
                             need_pi=True, need_lsfd=False)
     stage2, _ = stage2_all(pi, plan)
-    team = assemble_ltmmse(lmmse_local_matrices(est, plan, cfg.noise_power_w),
-                           stage2, plan)
+    team = assemble_ltmmse(lmmse_local_matrices(est, plan, cfg.noise_power_w), stage2)
 
     worst = 0.0
     for k in range(cfg.ue_count):
@@ -135,7 +134,7 @@ def test_criterion_3_kappa_sweep_trend(kappa_sweep_rows):
     def paired_tol(a, b):
         return 1.96 * np.std(a - b, ddof=1) / np.sqrt(setups)
 
-    for kappa in cfg.kappa_grid:
+    for kappa, _ in cfg.grid[0][1]:
         mmse = table[(kappa, "MMSE")]
         lt = table[(kappa, "LTMMSE")]
         lm = table[(kappa, "LMMSE_LSFD")]
@@ -268,7 +267,7 @@ def test_criterion_8_team_fixed_point():
     pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(81),
                             need_pi=True, need_lsfd=False)
     stage2, _ = stage2_all(pi, plan)
-    team = assemble_ltmmse(local, stage2, plan)[0]             # (L, N, K)
+    team = assemble_ltmmse(local, stage2)[0]                   # (L, N, K)
 
     H = draws.true_channels[0]                                 # (L, N, K), deterministic
     worst = 0.0

@@ -359,7 +359,7 @@ class TestStageTwo:
         stage2 = np.zeros((3, 2, 3), dtype=complex)
         for k, cluster in enumerate(plan.cluster_of_ue):
             stage2[k, cluster, :] = np.eye(3)[k]
-        team = assemble_ltmmse(local, stage2, plan)
+        team = assemble_ltmmse(local, stage2)
         unit = assemble_lmmse_lsfd(local, [np.ones(len(c)) for c in plan.cluster_of_ue], plan)
         np.testing.assert_allclose(team, unit, atol=1e-14)
 
@@ -377,7 +377,7 @@ class TestSchemeEquivalences:
         stage2, flagged = stage2_all(pi, plan)
         assert flagged == ()
         local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
-        team = assemble_ltmmse(local, stage2, plan)
+        team = assemble_ltmmse(local, stage2)
         scale = np.abs(centralized).max()
         assert np.abs(team - centralized).max() < 1e-8 * scale
 
@@ -396,7 +396,7 @@ class TestSchemeEquivalences:
 
         centralized = mmse_combiner(est, plan, sigma2)
         stage2, _ = stage2_all(empirical_pi(est, local, powers), plan)
-        team = assemble_ltmmse(local, stage2, plan)
+        team = assemble_ltmmse(local, stage2)
         moments = empirical_lsfd_moments(est, local, draws.true_channels, plan, sigma2)
         weights, _ = lsfd_weights(moments)
         weighted = assemble_lmmse_lsfd(local, weights, plan)

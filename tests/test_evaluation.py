@@ -280,7 +280,7 @@ class TestEngine:
             combiners = {
                 Scheme.MMSE: mmse_combiner(est, plan, sigma2),
                 Scheme.LMMSE_LSFD: assemble_lmmse_lsfd(local, weights, plan),
-                Scheme.LTMMSE: assemble_ltmmse(local, stage2, plan),
+                Scheme.LTMMSE: assemble_ltmmse(local, stage2),
             }
             for scheme, v in combiners.items():
                 for r in range(est.n_draws):

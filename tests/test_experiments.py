@@ -1,6 +1,5 @@
 """Config parsing, experiment drivers, CSV contract and CLI behavior."""
 
-import dataclasses
 import json
 import logging
 import math
@@ -117,19 +116,21 @@ class TestParseConfig:
 
     def test_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, {"experiment": "cdf"}))
+        (area, points), = cfg.grid
+        assert points == ((0.0, None),)
         assert cfg.seed == DEFAULT_SEED == 0xCE11F4EE
-        assert cfg.area.ap_count == 25
-        assert cfg.area.ue_count == 8
-        assert cfg.area.antennas_per_ap == 2
-        assert cfg.area.pilot_count == 4
-        assert cfg.area.pilot_power_w == cfg.area.p_max_w
+        assert area.ap_count == 25
+        assert area.ue_count == 8
+        assert area.antennas_per_ap == 2
+        assert area.pilot_count == 4
+        assert area.pilot_power_w == area.p_max_w
         assert cfg.setups == 10
         assert cfg.stat_budget == cfg.eval_budget == 300
         assert len(cfg.schemes) == 3
 
     def test_default_density_grid_scales_power_proportionally(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, {"experiment": "density_sweep"}))
-        grid = dict(cfg.d_grid)
+        grid = {area.side_length_m: area.p_max_w for area, _ in cfg.grid}
         assert grid[200.0] == pytest.approx(0.02)
         assert grid[1000.0] == pytest.approx(0.1)
 
@@ -189,6 +190,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"experiment": experiment, **overrides})
 
+    def test_unknown_experiment_is_rejected_at_parse_naming_it(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="'bogus'"):
+            config_from_dict({"experiment": "bogus", "out_dir": str(out)})
+        assert not out.exists()
+
+    @pytest.mark.parametrize("carrier_freq_mhz", [0, -5])
+    def test_nonpositive_carrier_frequency_is_rejected_at_parse(self, carrier_freq_mhz):
+        with pytest.raises(ConfigError, match="carrier_freq_mhz must be > 0"):
+            config_from_dict({"experiment": "cdf",
+                              "area": {"carrier_freq_mhz": carrier_freq_mhz}})
+
+    def test_invalid_density_area_fails_before_any_setup(self, tmp_path, capsys, monkeypatch):
+        # the 200 m point is valid; the 1e300 m one would overflow a squared distance
+        raw = {"experiment": "density_sweep", "area": TINY_AREA, "setups": 3,
+               "d_grid": [{"d_m": 200.0}, {"d_m": 1e300}], "out_dir": str(tmp_path / "r")}
+        with pytest.raises(ConfigError, match=r"d_grid d_m=1e\+300: side_length_m"):
+            config_from_dict(raw)
+        deployed = []
+        monkeypatch.setattr(experiments, "deploy", lambda *args: deployed.append(args))
+        assert main(["--config", write_config(tmp_path, raw)]) == 2
+        assert "d_m" in capsys.readouterr().err
+        assert deployed == []
+        assert not (tmp_path / "r").exists()
+
     def test_non_object_d_grid_entry_is_named_in_the_message(self):
         with pytest.raises(ConfigError, match="d_grid must be a list of objects"):
             config_from_dict({"experiment": "density_sweep", "d_grid": ["ab"]})
@@ -201,8 +227,11 @@ class TestParseConfig:
         except ConfigError:
             return
         assert isinstance(cfg, ExperimentConfig)
+        assert cfg.grid and all(points for _, points in cfg.grid)
+        for area, _ in cfg.grid:
+            area.validate()
         counts = [cfg.setups, cfg.stat_budget, cfg.eval_budget,
-                  *(getattr(cfg.area, name) for name in _COUNT_FIELDS)]
+                  *(getattr(area, name) for area, _ in cfg.grid for name in _COUNT_FIELDS)]
         assert all(count <= MAX_COUNT for count in counts)
 
 
@@ -223,15 +252,6 @@ class RecordingPool:
 
 
 class TestRunExperiment:
-    def test_unknown_experiment_raises_config_error_naming_it(self, tmp_path, monkeypatch):
-        cfg = dataclasses.replace(tiny_config(tmp_path, experiment="cdf"), experiment="bogus")
-        deployed = []
-        monkeypatch.setattr(experiments, "deploy", lambda *args: deployed.append(args))
-        with pytest.raises(ConfigError, match="'bogus'"):
-            run_experiment(cfg)
-        assert deployed == []
-        assert not cfg.out_dir.exists()
-
     def test_unusable_out_dir_fails_before_any_setup(self, tmp_path, monkeypatch):
         def no_setup(*args):
             raise AssertionError("a setup ran before out_dir was checked")
@@ -252,7 +272,7 @@ class TestRunExperiment:
         cfg = tiny_config(tmp_path, kappa_grid=[1.0])  # 2 setups: 2 tasks
         rows, _ = run_experiment(cfg, threads=threads)
         assert created == pools
-        assert len(rows) == cfg.setups * len(cfg.schemes) * 2 * (cfg.area.ue_count + 2)
+        assert len(rows) == cfg.setups * len(cfg.schemes) * 2 * (cfg.grid[0][0].ue_count + 2)
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_first_setup_does_not_depend_on_the_setup_count(self, tmp_path, experiment):
@@ -282,8 +302,9 @@ class TestCsvContract:
     def test_row_count_and_schema(self, tmp_path):
         cfg = tiny_config(tmp_path)
         rows, path = run_experiment(cfg)
-        K = cfg.area.ue_count
-        expected = len(cfg.kappa_grid) * cfg.setups * len(cfg.schemes) * 2 * (K + 2)
+        (area, points), = cfg.grid
+        K = area.ue_count
+        expected = len(points) * cfg.setups * len(cfg.schemes) * 2 * (K + 2)
         assert len(rows) == expected
 
         lines = path.read_text().splitlines()
@@ -336,7 +357,7 @@ class TestDensitySweep:
         rows, _ = run_experiment(cfg)
         assert sorted({row.sweep for row in rows}) == [250.0, 1000.0]
         # default pairing: p_max proportional to d
-        paired = dict(cfg.d_grid)
+        paired = {area.side_length_m: area.p_max_w for area, _ in cfg.grid}
         assert paired[250.0] == pytest.approx(0.025)
         assert paired[1000.0] == pytest.approx(0.1)
 
@@ -364,7 +385,7 @@ class TestCdfExperiment:
     def test_cdf_coordinates_and_sample_counts(self, tmp_path):
         cfg = tiny_config(tmp_path, experiment="cdf", setups=3)
         rows, _ = run_experiment(cfg)
-        K = cfg.area.ue_count
+        K = cfg.grid[0][0].ue_count
         for scheme in cfg.schemes:
             for bound in ("uatf", "cd"):
                 sample = [r for r in rows if r.scheme == scheme and r.bound == bound]
@@ -496,10 +517,12 @@ class TestCli:
         if code == 0:
             values = se_and_ci(out / f"{payload['experiment']}.csv")
             assert values and all(math.isfinite(value) for value in values)
-        if key in ("side_length_m", "d_m", "carrier_freq_mhz") and value > 1e100:
-            # every gain underflows (1e130) or a squared distance would
-            # overflow (1e160, 1e300): a config error that names the key,
-            # raised before numpy warns about anything
+        if (key in ("side_length_m", "d_m", "carrier_freq_mhz") and value > 1e100
+                or (key, value) == ("shadow_std_db", 1e6)):
+            # every gain underflows (1e130), a squared distance would
+            # overflow (1e160, 1e300) or a linear gain would (shadow 1e6):
+            # a config error that names the key, raised before numpy warns
+            # about anything
             assert code == 2
             assert key in capsys.readouterr().err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -510,11 +533,10 @@ class TestCli:
         assert main(["--config", write_config(tmp_path, payload)]) == 2
         assert "height_diff_m" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("shadow_std_db", [400.0, 1e6])
+    @pytest.mark.parametrize("shadow_std_db", [400.0])
     def test_linear_algebra_failure_exits_with_numerical_error(self, tmp_path, capsys,
                                                                shadow_std_db):
-        # 400 dB makes a local MMSE system singular in the statistics pass;
-        # 1e6 dB makes the stage-two least-squares fallback fail to converge
+        # 400 dB makes a local MMSE system singular in the statistics pass
         payload = {"experiment": "cdf", "area": {**TOY_AREA, "shadow_std_db": shadow_std_db},
                    "setups": 1, "stat_budget": 10, "eval_budget": 10, "seed": 3,
                    "out_dir": str(tmp_path / "r")}
