@@ -194,11 +194,17 @@ def lsfd_weights(moments: LsfdMoments) -> tuple[list[np.ndarray], tuple[int, ...
 
 def assemble_lmmse_lsfd(local: np.ndarray, weights: list[np.ndarray],
                         plan: ServicePlan) -> np.ndarray:
-    """Combine local matrices with LSFD weights into full combining vectors."""
+    """Combine local matrices with LSFD weights into full combining vectors.
+
+    Each UE's weights are divided by their largest modulus: D_k^-1 f_k scales
+    as c^-1/2 with every power and the noise, so the combiner's squared gains
+    would under- or overflow at extreme c. Both SE bounds ignore this scale.
+    """
     R, L, N, K = local.shape
     weight_full = np.zeros((K, L), dtype=complex)
     for k, cluster in enumerate(plan.cluster_of_ue):
-        weight_full[k, cluster] = weights[k]
+        largest = np.abs(weights[k]).max()
+        weight_full[k, cluster] = weights[k] / largest if largest > 0.0 else weights[k]
     return local * weight_full.T[None, :, None, :]
 
 
@@ -236,25 +242,6 @@ def assemble_ltmmse(local: np.ndarray, stage2_full: np.ndarray) -> np.ndarray:
     return local @ stage2_full.transpose(1, 2, 0)
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`np.linalg.solve` over stacks a (n, M, M) and b (n, M, R); also returns
-    which of the n systems gave a finite solution.
-
-    The solution of an exactly singular system is NaN; the others are the
-    same as without it.
-    """
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan, dtype=np.result_type(a, b))
-        for i in range(len(a)):
-            try:
-                x[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-    return x, np.isfinite(x).all(axis=tuple(range(1, x.ndim)))
-
-
 def stage2_all(pi: PiSet, plan: ServicePlan) -> tuple[np.ndarray, tuple[int, ...]]:
     """Stage-two vectors for every UE, embedded in a dense (K, L, K) array.
 
@@ -265,31 +252,33 @@ def stage2_all(pi: PiSet, plan: ServicePlan) -> tuple[np.ndarray, tuple[int, ...
         c_a = A_a^-1 y,  (sum_{b in C_k} A_b^-1 - (|C_k| - 1) I) y = e_k.
 
     Pi_l is Hermitian with spectrum in [0, 1), so every A_l is positive
-    definite and the K x K system is >= I. A UE whose closed form is singular
-    or not finite gets the block solve of `ltmmse_stage2` instead and is
+    definite and the K x K system is >= I. A singular A_l or UE system leaves
+    NaN in its slot, so exactly the UEs whose closed form it enters come out
+    not finite; they get the block solve of `ltmmse_stage2` instead and are
     returned among the flagged UEs.
     """
     L, K = pi.pi.shape[:2]
     clusters = plan.cluster_of_ue
-    member = np.zeros((K, L))
-    member[np.repeat(np.arange(K), [len(c) for c in clusters]), np.concatenate(clusters)] = 1.0
     eye = np.eye(K)
+    a_inv = np.full((L, K, K), np.nan, dtype=complex)
+    for l in range(L):
+        try:
+            a_inv[l] = np.linalg.solve(eye - pi.pi[l], eye)
+        except np.linalg.LinAlgError:
+            pass
+    y = np.full((K, K), np.nan, dtype=complex)
+    for k, cluster in enumerate(clusters):
+        try:
+            y[k] = np.linalg.solve(a_inv[cluster].sum(axis=0) - (len(cluster) - 1) * eye, eye[k])
+        except np.linalg.LinAlgError:
+            pass
+    c = a_inv @ y.T                                  # c[l, :, k] = A_l^-1 y_k
 
-    a_inv, ap_ok = _solve_each(eye - pi.pi, np.broadcast_to(eye, (L, K, K)))
-    ok = ~(member.astype(bool) & ~ap_ok).any(axis=1)
-    a_inv[~ap_ok] = 0.0          # keeps their NaN out of the other UEs' sums
-    # A sum per cluster, not member @ a_inv.reshape(L, K * K): that single
-    # product is large enough for OpenBLAS to thread, and its worker then
-    # busy-waits about 0.1 s, taking a core from the setup workers.
-    system = np.stack([a_inv[c].sum(axis=0) for c in clusters])
-    system -= (member.sum(axis=1) - 1.0)[:, None, None] * eye
-    y, solved = _solve_each(system, eye[:, :, None])      # y[k] solves system[k] y = e_k
-    ok &= solved
-    full = member[:, :, None] * (a_inv @ y[:, :, 0].T).transpose(2, 0, 1)
-    ok &= np.isfinite(full).all(axis=(1, 2))
-
-    flagged = np.flatnonzero(~ok)
-    for k in flagged:
-        full[k] = 0.0
-        full[k, clusters[k]] = ltmmse_stage2(pi, clusters[k], k)[0]
-    return full, tuple(flagged.tolist())
+    full = np.zeros((K, L, K), dtype=complex)
+    flagged = []
+    for k, cluster in enumerate(clusters):
+        full[k, cluster] = c[cluster, :, k]
+        if not np.isfinite(full[k]).all():
+            full[k, cluster] = ltmmse_stage2(pi, cluster, k)[0]
+            flagged.append(k)
+    return full, tuple(flagged)

@@ -352,6 +352,26 @@ class TestStageTwo:
         for k in (1, 2):
             np.testing.assert_allclose(stage2[k, 2], np.eye(K)[k], atol=1e-15)
 
+    def test_singular_ap_with_regular_block_system_takes_exact_solve(self):
+        # I - Pi_0 is singular, so the closed form of UE 0, served by APs 0
+        # and 2, fails; its block system has the regular Schur complement
+        # I - Pi_2 Pi_0 = diag(0.5, 0.85, 0.9). AP 1, also singular, serves nobody
+        K = 3
+        pi_mats = np.stack([np.diag([1.0, 0.3, 0.2]), np.diag([1.0, 0.3, 0.2]),
+                            0.5 * np.eye(K)]).astype(complex)
+        pi = PiSet(pi=pi_mats, se=np.zeros((3, K, K)))
+        plan = make_plan([0, 1, 2], [[0, 2], [2], [2]])
+
+        block, fallback = ltmmse_stage2(pi, np.array([0, 2]), k=0)
+        assert not fallback
+        stage2, flagged = stage2_all(pi, plan)
+        assert flagged == (0,)
+        np.testing.assert_array_equal(stage2[0, [0, 2]], block)
+        np.testing.assert_array_equal(stage2[0, 1], 0.0)
+        for k in (1, 2):
+            np.testing.assert_array_equal(np.delete(stage2[k], 2, axis=0), 0.0)
+            np.testing.assert_allclose(stage2[k, 2], np.eye(K)[k], atol=1e-15)
+
     def test_unit_stage_two_reduces_to_unit_lmmse(self, rng):
         est = synthetic_estimates(rng, R=3, L=2, N=2, K=3, err_scale=0.2)
         plan = make_plan([0, 0, 0], [[0, 1], [0], [1]])

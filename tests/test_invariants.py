@@ -49,8 +49,10 @@ def scaled_results(tmp_path, experiment, c):
 def test_power_and_noise_scaling_leaves_results_unchanged(tmp_path, experiment):
     base = scaled_results(tmp_path, experiment, 1)
     assert np.all(np.isfinite(base)) and base[:, 0].max() > 0.0
-    # a power of two scales without rounding, so the results stay bit-identical
-    np.testing.assert_array_equal(scaled_results(tmp_path, experiment, 4), base)
+    # a power of two scales without rounding, so the results stay bit-identical,
+    # also where an unnormalized combiner's squared gains would under- or overflow
+    for c in (4, 4 ** 300, 4 ** -300):
+        np.testing.assert_array_equal(scaled_results(tmp_path, experiment, c), base)
     np.testing.assert_allclose(scaled_results(tmp_path, experiment, 3), base, rtol=1e-11, atol=0)
 
 
