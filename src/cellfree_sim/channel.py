@@ -178,10 +178,7 @@ def _psd_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Cholesky on the fast path; semidefinite or slightly rounded matrices fall
     back to an eigendecomposition with negative eigenvalues clipped to zero.
     Eigenvalues below -PSD_TRACE_TOL * trace are treated as a real failure.
-    Only an exactly zero matrix skips that check and gets zero factors.
     """
-    if not np.any(matrix):
-        return np.zeros_like(matrix), np.zeros_like(matrix)
     trace = float(np.real(np.trace(matrix)))
     try:
         return matrix, np.linalg.cholesky(matrix)

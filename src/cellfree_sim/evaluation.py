@@ -62,8 +62,11 @@ class SeReport:
 
 def _batch_ci(se_of, *per_draw: np.ndarray) -> np.ndarray:
     """95% halfwidth by batch means: `se_of(*batch)` on each of B = min(N_BATCHES, R)
-    batches of the per-draw arrays, where draw r falls in batch floor(r B / R)."""
+    batches of the per-draw arrays, where draw r falls in batch floor(r B / R).
+    The spread over batches needs R >= 2."""
     R = len(per_draw[0])
+    if R < 2:
+        raise ConfigError("SE evaluation needs at least 2 draws")
     B = min(N_BATCHES, R)
     batch = np.arange(R) * B // R
     # masked copies, not slices: a batch then sums in one order whatever the input layout
@@ -71,18 +74,20 @@ def _batch_ci(se_of, *per_draw: np.ndarray) -> np.ndarray:
     return 1.96 * np.std(se_batches, axis=0, ddof=1) / np.sqrt(B)
 
 
-def _uatf_from_moments(mean_gain, mean_abs2, mean_vnorm2, powers, sigma2, prelog):
-    """SINR and SE from UatF moment triplets; returns (se, clamped)."""
-    signal = powers * np.abs(mean_gain) ** 2                    # p_k |E g_kk|^2
-    interference = mean_abs2 @ powers                           # sum_i p_i E |g_ki|^2
-    noise = sigma2 * mean_vnorm2
+def _log_sinr(signal: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """log2(1 + signal / denom), and 0 where denom is 0."""
+    positive = denom > 0.0
+    return np.log2(1.0 + np.where(positive, signal / np.where(positive, denom, 1.0), 0.0))
+
+
+def _uatf_from_moments(own, abs2, vnorm2, powers, sigma2, prelog):
+    """UatF SE from per-draw own gains g_kk, |g_ki|^2 and ||v_k||^2, whose
+    sample means replace the expectations; returns (se, clamped)."""
+    signal = powers * np.abs(own.mean(axis=0)) ** 2             # p_k |E g_kk|^2
+    interference = abs2.mean(axis=0) @ powers                   # sum_i p_i E |g_ki|^2
     fluctuation = interference - signal
-    clamped = fluctuation < 0.0
-    denom = np.maximum(fluctuation, 0.0) + noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(denom > 0.0, signal / np.where(denom > 0.0, denom, 1.0), 0.0)
-    se = prelog * np.log2(1.0 + sinr)
-    return se, clamped
+    denom = np.maximum(fluctuation, 0.0) + sigma2 * vnorm2.mean(axis=0)
+    return prelog * _log_sinr(signal, denom), fluctuation < 0.0
 
 
 def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: float,
@@ -98,19 +103,12 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
     draws). It is then clamped at zero and the UE is flagged: the second
     return value holds the clamped UEs.
     """
-    R, K, _ = gains.shape
-    if R < 2:
-        raise ConfigError("UatF evaluation needs at least 2 draws")
-    own = gains[:, np.arange(K), np.arange(K)]
-    abs2 = np.abs(gains) ** 2
-
-    def moments(own, abs2, vnorm2):
-        return _uatf_from_moments(own.mean(axis=0), abs2.mean(axis=0), vnorm2.mean(axis=0),
-                                  powers, sigma2, prelog)
-
-    se_full, clamped = moments(own, abs2, vnorm2)
-    ci = _batch_ci(lambda *batch: moments(*batch)[0], own, abs2, vnorm2)
-    return BoundEstimate(se=se_full, ci=ci), tuple(np.flatnonzero(clamped).tolist())
+    K = gains.shape[1]
+    per_draw = (gains[:, np.arange(K), np.arange(K)], np.abs(gains) ** 2, vnorm2)
+    ci = _batch_ci(lambda *batch: _uatf_from_moments(*batch, powers, sigma2, prelog)[0],
+                   *per_draw)
+    se, clamped = _uatf_from_moments(*per_draw, powers, sigma2, prelog)
+    return BoundEstimate(se=se, ci=ci), tuple(np.flatnonzero(clamped).tolist())
 
 
 def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
@@ -125,9 +123,7 @@ def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
     own = np.abs(est_gains[:, np.arange(K), np.arange(K)]) ** 2
     total = (np.abs(est_gains) ** 2) @ powers
     denom = np.maximum(total - powers * own, 0.0) + err_quad + sigma2 * vnorm2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(denom > 0.0, powers * own / np.where(denom > 0.0, denom, 1.0), 0.0)
-    log_terms = np.log2(1.0 + sinr)
+    log_terms = _log_sinr(powers * own, denom)
 
     def se_of(terms):
         return prelog * terms.mean(axis=0)
@@ -170,11 +166,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
             stage2_full, flagged = stage2_all(pi, plan)
             regularized[Scheme.LTMMSE] = flagged
 
-    gains = {s: [] for s in schemes}
-    est_gains = {s: [] for s in schemes}
-    quads = {s: [] for s in schemes}
-    vnorms = {s: [] for s in schemes}
-
+    per_scheme: dict[Scheme, list[tuple[np.ndarray, ...]]] = {s: [] for s in schemes}
     eval_seq = subsequence(stream, ROLE_EVALUATION)
     for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
         R, L, N, K = est.estimates.shape
@@ -189,20 +181,19 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
                 v = assemble_ltmmse(local, stage2_full)
             # gains[r, k, i] = v_k^H h_i over all L*N antennas
             v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
-            gains[scheme].append(v_h @ draws.true_channels.reshape(R, L * N, K))
-            est_gains[scheme].append(v_h @ est.estimates.reshape(R, L * N, K))
             z_v = est.z_matrices @ v                       # Z_l v_lk per AP
-            quads[scheme].append(np.sum(v.real * z_v.real + v.imag * z_v.imag, axis=(1, 2)))
-            vnorms[scheme].append(np.sum(np.abs(v) ** 2, axis=(1, 2)))
+            per_scheme[scheme].append((
+                v_h @ draws.true_channels.reshape(R, L * N, K),
+                v_h @ est.estimates.reshape(R, L * N, K),
+                np.sum(v.real * z_v.real + v.imag * z_v.imag, axis=(1, 2)),
+                np.sum(np.abs(v) ** 2, axis=(1, 2)),
+            ))
 
     reports = {}
-    for scheme in schemes:
-        g = np.concatenate(gains[scheme])
-        gh = np.concatenate(est_gains[scheme])
-        quad = np.concatenate(quads[scheme])
-        vnorm2 = np.concatenate(vnorms[scheme])
-        uatf, clamped = uatf_se(g, vnorm2, plan.powers_w, sigma2, prelog)
-        cd = cd_se(gh, quad, vnorm2, plan.powers_w, sigma2, prelog)
+    for scheme, chunks in per_scheme.items():
+        gains, est_gains, quad, vnorm2 = (np.concatenate(field) for field in zip(*chunks))
+        uatf, clamped = uatf_se(gains, vnorm2, plan.powers_w, sigma2, prelog)
+        cd = cd_se(est_gains, quad, vnorm2, plan.powers_w, sigma2, prelog)
         reports[scheme] = SeReport(
             uatf=uatf,
             cd=cd,

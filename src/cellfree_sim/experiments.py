@@ -171,6 +171,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(kappa_grid, (list, tuple)) or not all(
             is_number(x) and x >= 0 for x in kappa_grid):
         problems.append("kappa_grid must be a list of numbers >= 0")
+    elif len(set(kappa_grid)) < len(kappa_grid):
+        problems.append("kappa_grid must not repeat")
     elif experiment == "kappa_sweep" and not kappa_grid:
         problems.append("kappa_grid must not be empty for kappa_sweep")
 
@@ -193,6 +195,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 items.append((float(d), float(p)))
             else:
                 d_grid = tuple(items)
+                if len({d for d, _ in d_grid}) < len(d_grid):
+                    problems.append("d_grid d_m must not repeat")
     if experiment == "density_sweep" and not d_grid:
         problems.append("d_grid must not be empty for density_sweep")
 

@@ -6,6 +6,7 @@ each criterion is a deterministic check, not a flaky statistical one.
 """
 
 import collections
+import os
 import time
 
 import numpy as np
@@ -31,19 +32,13 @@ from cellfree_sim.evaluation import evaluate_schemes
 from cellfree_sim.experiments import config_from_dict, run_experiment
 from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
 
+from conftest import build_instance
 from oracles import error_statistics_check
 
 PASS = "ACCEPTANCE {}: PASS ({:.1f} s) - {}"
 
-
-def small_instance(seed, kappa_override, tau_p=2):
-    cfg = AreaConfig(side_length_m=400.0, ap_count=6, ue_count=4, antennas_per_ap=2,
-                     pilot_count=tau_p, pilot_power_w=0.1)
-    dep = deploy(cfg, np.random.default_rng(seed))
-    plan = assign_pilots_and_clusters(dep, cfg)
-    stats = build_channel_stats(dep, cfg, np.random.default_rng(seed + 1000),
-                                [kappa_override])[0]
-    return cfg, dep, plan, stats
+# Sweep workers; the rows are byte-identical for any count (criterion 9).
+WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
 def min_se_rows(rows, bound="uatf"):
@@ -56,7 +51,7 @@ def min_se_rows(rows, bound="uatf"):
 
 
 @pytest.fixture(scope="module")
-def kappa_sweep_rows():
+def kappa_sweep_rows(tmp_path_factory):
     """Shared desk-scale sweep used by criteria 3 and 4."""
     cfg = config_from_dict({
         "experiment": "kappa_sweep",
@@ -66,10 +61,10 @@ def kappa_sweep_rows():
         "eval_budget": 300,
         "kappa_grid": [0.0, 1.0, 5.0, 20.0, 100.0],
         "seed": 314,
-        "out_dir": "/tmp/cellfree_acceptance/kappa",
+        "out_dir": str(tmp_path_factory.mktemp("kappa")),
     })
     start = time.time()
-    rows, _ = run_experiment(cfg, threads=1)
+    rows, _ = run_experiment(cfg, threads=WORKERS)
     return cfg, rows, time.time() - start
 
 
@@ -77,7 +72,7 @@ def test_criterion_1_pure_los_team_equals_centralized():
     # all scattered covariances forced to zero; cluster sizes are >= 2 for
     # this seed ([4, 3, 3, 2])
     start = time.time()
-    cfg, _, plan, stats = small_instance(0, kappa_override=np.inf)
+    cfg, plan, stats = build_instance(0, kappa_override=np.inf)
     assert min(len(c) for c in plan.cluster_of_ue) >= 2
     assert np.all(stats.nlos_cov == 0)
 
@@ -104,7 +99,7 @@ def test_criterion_1_pure_los_team_equals_centralized():
 
 def test_criterion_2_nlos_team_matches_lsfd_within_ci():
     start = time.time()
-    cfg, _, plan, stats = small_instance(20, kappa_override=0.0, tau_p=4)
+    cfg, plan, stats = build_instance(20, kappa_override=0.0, tau_p=4)
     assert np.unique(plan.pilot_of_ue).size == cfg.ue_count   # no pilot shared
 
     reps = evaluate_schemes(stats, plan, cfg, [Scheme.LTMMSE, Scheme.LMMSE_LSFD], 2000, 2000, 22)
@@ -171,7 +166,7 @@ def test_criterion_4_bounds_coincide_at_large_kappa(kappa_sweep_rows):
                       f"max |uatf-cd|/cd at kappa=100 is {worst:.3%} < 2%"))
 
 
-def test_criterion_5_density_trend():
+def test_criterion_5_density_trend(tmp_path):
     # contamination regime matters for this trend: 4 UEs share each pilot,
     # as in the reference operating point
     start = time.time()
@@ -183,9 +178,9 @@ def test_criterion_5_density_trend():
         "eval_budget": 300,
         "d_grid": [{"d_m": 200.0}, {"d_m": 1000.0}],
         "seed": 42,
-        "out_dir": "/tmp/cellfree_acceptance/density",
+        "out_dir": str(tmp_path),
     })
-    rows, _ = run_experiment(cfg, threads=1)
+    rows, _ = run_experiment(cfg, threads=WORKERS)
     table = min_se_rows(rows)
 
     def rel_gap(d):
@@ -255,7 +250,7 @@ def test_criterion_8_team_fixed_point():
     # reproduce the team solution (necessary-and-sufficient conditions);
     # with pure LoS the coupling expectations are exact
     start = time.time()
-    cfg, _, plan, stats = small_instance(0, kappa_override=np.inf)
+    cfg, plan, stats = build_instance(0, kappa_override=np.inf)
     sigma2 = cfg.noise_power_w
     powers = plan.powers_w
 

@@ -93,12 +93,12 @@ class TestUatfBound:
         np.testing.assert_allclose(scaled.se, base.se, rtol=1e-12)
 
     def test_negative_fluctuation_is_clamped_and_flagged(self):
-        # feed moments where Monte Carlo noise pushed the second moment below
-        # the squared mean
+        # feed one draw whose moments say Monte Carlo noise pushed the second
+        # moment below the squared mean
         se, clamped = _uatf_from_moments(
-            mean_gain=np.array([1.0 + 0j]),
-            mean_abs2=np.array([[0.999]]),
-            mean_vnorm2=np.array([1.0]),
+            own=np.array([[1.0 + 0j]]),
+            abs2=np.array([[[0.999]]]),
+            vnorm2=np.array([[1.0]]),
             powers=np.array([1.0]),
             sigma2=0.5,
             prelog=1.0,
@@ -161,6 +161,10 @@ class TestCdBound:
         est = cd_se(g, np.zeros((R, 1)), vnorm2, np.array([p]), sigma2, 1.0)
         sinr = p * np.abs(g[:, 0, 0]) ** 2 / (sigma2 * vnorm2[:, 0])
         assert est.se[0] == pytest.approx(np.log2(1 + sinr).mean(), rel=1e-12)
+
+    def test_needs_two_draws(self):
+        with pytest.raises(ConfigError):
+            cd_se(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1), 0.1, 1.0)
 
 
 class TestEngine:

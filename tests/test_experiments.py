@@ -190,6 +190,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"experiment": experiment, **overrides})
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param({"kappa_grid": [5.0, 5.0]}, "kappa_grid must not repeat", id="kappa"),
+        pytest.param({"kappa_grid": [5, 5.0]}, "kappa_grid must not repeat", id="kappa-int"),
+        pytest.param({"d_grid": [{"d_m": 300.0}, {"d_m": 300, "p_max_w": 0.01}]},
+                     "d_grid d_m must not repeat", id="d_m"),
+    ])
+    def test_repeated_grid_entries_are_rejected_at_parse(self, experiment, grid, message):
+        # each repeat would run its Monte Carlo again and write duplicate rows
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"experiment": experiment, **grid})
+
     def test_unknown_experiment_is_rejected_at_parse_naming_it(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="'bogus'"):
