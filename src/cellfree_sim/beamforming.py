@@ -31,8 +31,10 @@ from .scenario import ServicePlan
 
 # Draws per Monte Carlo chunk; chunk c always draws from substream(stream, c).
 CHUNK = 128
-# Draws per (draws, L, K, K) block of Pi cross terms in the statistics pass.
-PI_BLOCK = 8
+# Draws per block of the per-draw temporaries in the statistics and evaluation
+# passes. A blocked product acts on each draw alone, so its bits do not depend
+# on the block size; only the order in which the Pi sums add blocks does.
+DRAW_BLOCK = 8
 
 
 class Scheme(str, Enum):
@@ -135,11 +137,11 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
         local = lmmse_local_matrices(est, plan, sigma2)
 
         if need_pi:
-            # cross[r, l, i, j] = sqrt(p_i) h_hat_li^H v_lj, PI_BLOCK draws at a time
-            scaled_h = (est.estimates.conj() * sqrt_p).swapaxes(-1, -2)
-            for start in range(0, len(local), PI_BLOCK):
-                block = slice(start, start + PI_BLOCK)
-                cross = scaled_h[block] @ local[block]
+            # cross[r, l, i, j] = sqrt(p_i) h_hat_li^H v_lj, DRAW_BLOCK draws at a time
+            for start in range(0, len(local), DRAW_BLOCK):
+                block = slice(start, start + DRAW_BLOCK)
+                scaled_h = (est.estimates[block].conj() * sqrt_p).swapaxes(-1, -2)
+                cross = scaled_h @ local[block]
                 pi_sum += cross.sum(axis=0)
                 pi_sumsq += np.einsum("rlij,rlij->lij", cross.real, cross.real)
                 pi_sumsq += np.einsum("rlij,rlij->lij", cross.imag, cross.imag)

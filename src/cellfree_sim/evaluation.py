@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import (
+    DRAW_BLOCK,
     Scheme,
     assemble_lmmse_lsfd,
     assemble_ltmmse,
@@ -34,7 +35,7 @@ from .beamforming import (
 )
 from .channel import ChannelStats, sample_channels  # noqa: F401  (perfbench/tracing.py wraps it)
 from .errors import ConfigError
-from .estimation import PilotEstimator
+from .estimation import EstimateSet, PilotEstimator
 from .rng import ROLE_EVALUATION, ROLE_STATISTICS, subsequence
 from .scenario import AreaConfig, ServicePlan
 
@@ -131,6 +132,34 @@ def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
     return BoundEstimate(se=se_of(log_terms), ci=_batch_ci(se_of, log_terms))
 
 
+def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet
+                    ) -> tuple[np.ndarray, ...]:
+    """Per-draw terms of one scheme's (draws, L, N, K) combiners `v`: gains
+    g[r, k, i] = v_k^H h_i on the true `channels` and on the estimates, the
+    error quadratic form v_k^H Z v_k and ||v_k||^2, all over the L*N antennas.
+
+    They are formed DRAW_BLOCK draws at a time into preallocated outputs, so
+    the conjugate of `v` and Z v never take a whole chunk of memory.
+    """
+    R, L, N, K = v.shape
+    gains = np.empty((R, K, K), dtype=complex)
+    est_gains = np.empty((R, K, K), dtype=complex)
+    quad = np.empty((R, K))
+    vnorm2 = np.empty((R, K))
+    H = channels.reshape(R, L * N, K)
+    H_hat = est.estimates.reshape(R, L * N, K)
+    for start in range(0, R, DRAW_BLOCK):
+        block = slice(start, start + DRAW_BLOCK)
+        v_b = v[block]
+        v_h = v_b.reshape(-1, L * N, K).conj().swapaxes(1, 2)
+        gains[block] = v_h @ H[block]
+        est_gains[block] = v_h @ H_hat[block]
+        z_v = est.z_matrices @ v_b                          # Z_l v_lk per AP
+        quad[block] = np.sum(v_b.real * z_v.real + v_b.imag * z_v.imag, axis=(1, 2))
+        vnorm2[block] = np.sum(np.abs(v_b) ** 2, axis=(1, 2))
+    return gains, est_gains, quad, vnorm2
+
+
 def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
                      schemes, stat_draws: int, eval_draws: int,
                      stream) -> dict[Scheme, SeReport]:
@@ -169,7 +198,6 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     per_scheme: dict[Scheme, list[tuple[np.ndarray, ...]]] = {s: [] for s in schemes}
     eval_seq = subsequence(stream, ROLE_EVALUATION)
     for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
-        R, L, N, K = est.estimates.shape
         local = lmmse_local_matrices(est, plan, sigma2) if need_local else None
 
         for scheme in schemes:
@@ -179,15 +207,8 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
                 v = assemble_lmmse_lsfd(local, weights, plan)
             else:
                 v = assemble_ltmmse(local, stage2_full)
-            # gains[r, k, i] = v_k^H h_i over all L*N antennas
-            v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
-            z_v = est.z_matrices @ v                       # Z_l v_lk per AP
-            per_scheme[scheme].append((
-                v_h @ draws.true_channels.reshape(R, L * N, K),
-                v_h @ est.estimates.reshape(R, L * N, K),
-                np.sum(v.real * z_v.real + v.imag * z_v.imag, axis=(1, 2)),
-                np.sum(np.abs(v) ** 2, axis=(1, 2)),
-            ))
+            per_scheme[scheme].append(_per_draw_terms(v, draws.true_channels, est))
+            del v   # free this combiner before the next scheme builds its own
 
     reports = {}
     for scheme, chunks in per_scheme.items():

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cellfree_sim.beamforming import (
     CHUNK,
+    DRAW_BLOCK,
     Scheme,
     assemble_lmmse_lsfd,
     assemble_ltmmse,
@@ -25,6 +27,7 @@ from cellfree_sim.beamforming import (
 from cellfree_sim.errors import ConfigError
 from cellfree_sim.estimation import PilotEstimator
 from cellfree_sim.evaluation import (
+    _per_draw_terms,
     _uatf_from_moments,
     cd_se,
     evaluate_schemes,
@@ -328,3 +331,80 @@ class TestEngine:
         cfg, plan, stats = build_instance(4)
         with pytest.raises(ConfigError):
             evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 1, 10, 0)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that `fn()` holds at once, as tracemalloc (numpy included) sees it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawBlocks:
+    """Per-draw temporaries are formed DRAW_BLOCK draws at a time: the results
+    match the whole-chunk expressions bit for bit, and memory stays a few
+    chunk-sized arrays."""
+
+    def test_per_draw_terms_equal_whole_chunk_products(self):
+        # CHUNK - 5 draws end in a partial block
+        cfg, plan, stats = build_instance(3)
+        estimator = PilotEstimator(stats, plan, cfg)
+        (draws, est), = estimated_draws(estimator, CHUNK - 5, 17)
+        assert (CHUNK - 5) % DRAW_BLOCK != 0
+        sigma2 = cfg.noise_power_w
+        local = lmmse_local_matrices(est, plan, sigma2)
+        pi, _ = statistics_pass(estimator, 20, 23, need_pi=True, need_lsfd=False)
+        stage2, _ = stage2_all(pi, plan)
+        for v in (mmse_combiner(est, plan, sigma2), assemble_ltmmse(local, stage2)):
+            R, L, N, K = v.shape
+            v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
+            z_v = est.z_matrices @ v
+            expected = (v_h @ draws.true_channels.reshape(R, L * N, K),
+                        v_h @ est.estimates.reshape(R, L * N, K),
+                        np.sum(v.real * z_v.real + v.imag * z_v.imag, axis=(1, 2)),
+                        np.sum(np.abs(v) ** 2, axis=(1, 2)))
+            for got, want in zip(_per_draw_terms(v, draws.true_channels, est), expected):
+                assert np.array_equal(got, want)
+
+    def test_pi_moments_equal_whole_chunk_scaled_estimates(self):
+        cfg, plan, stats = build_instance(3)
+        estimator = PilotEstimator(stats, plan, cfg)
+        mc, stream = CHUNK - 5, 29
+        pi, _ = statistics_pass(estimator, mc, stream, need_pi=True, need_lsfd=False)
+
+        (_, est), = estimated_draws(estimator, mc, stream)
+        local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
+        scaled_h = (est.estimates.conj() * np.sqrt(plan.powers_w)).swapaxes(-1, -2)
+        pi_sum = np.zeros(pi.pi.shape, dtype=complex)
+        pi_sumsq = np.zeros(pi.pi.shape)
+        for start in range(0, mc, DRAW_BLOCK):
+            block = slice(start, start + DRAW_BLOCK)
+            cross = scaled_h[block] @ local[block]
+            pi_sum += cross.sum(axis=0)
+            pi_sumsq += np.einsum("rlij,rlij->lij", cross.real, cross.real)
+            pi_sumsq += np.einsum("rlij,rlij->lij", cross.imag, cross.imag)
+        mean = pi_sum / mc
+        variance = np.maximum(pi_sumsq / mc - (mean.real ** 2 + mean.imag ** 2), 0.0)
+        assert np.array_equal(pi.pi, mean)
+        assert np.array_equal(pi.se, np.sqrt(variance / mc))
+
+    # Desk instance (36 APs, 16 UEs, N=2); peaks in units of one (CHUNK, L, N, K)
+    # complex array. Forming whole-chunk temporaries read 8.1 and 5.7 units.
+    DESK = dict(L=36, K=16, N=2, tau_p=4, side=1000.0)
+    UNIT = CHUNK * 36 * 2 * 16 * np.dtype(complex).itemsize
+
+    def test_evaluation_peak_memory(self):
+        cfg, plan, stats = build_instance(3, **self.DESK)
+        peak = traced_peak(lambda: evaluate_schemes(
+            stats, plan, cfg, [Scheme.LMMSE_LSFD, Scheme.LTMMSE], CHUNK, CHUNK, 7))
+        assert peak / self.UNIT <= 6.5
+
+    def test_statistics_pass_peak_memory(self):
+        cfg, plan, stats = build_instance(3, **self.DESK)
+        estimator = PilotEstimator(stats, plan, cfg)
+        peak = traced_peak(lambda: statistics_pass(
+            estimator, CHUNK, subsequence(7, ROLE_STATISTICS), need_pi=True, need_lsfd=True))
+        assert peak / self.UNIT <= 5.3
