@@ -109,6 +109,7 @@ def estimated_draws(estimator: PilotEstimator, total: int, stream):
         gen = substream(stream, c)
         draws = sample_channels(estimator.stats, gen, min(CHUNK, total - start))
         yield draws, estimator.estimate(draws, gen)
+        del draws   # the caller's references are the chunk's last ones
 
 
 def statistics_pass(estimator: PilotEstimator, mc: int, stream,
@@ -146,16 +147,16 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
                 pi_sumsq += np.einsum("rlij,rlij->lij", cross.real, cross.real)
                 pi_sumsq += np.einsum("rlij,rlij->lij", cross.imag, cross.imag)
         if need_lsfd:
-            H = draws.true_channels
             for k in range(K):
                 cluster = clusters[k]
                 v_k = local[..., k][:, cluster]                   # (r, M, N)
-                gains = (v_k.conj()[:, :, None, :] @ H[:, cluster])[:, :, 0, :]  # (r, M, K)
+                gains = (v_k.conj()[:, :, None, :] @ draws.true_channels[:, cluster])[:, :, 0, :]
                 f_sum[k] += gains[:, :, k].sum(axis=0)
                 # K small products: one (M, r K) product would wake the OpenBLAS threads
                 per_ue = np.ascontiguousarray((gains * sqrt_p).transpose(2, 1, 0))  # (K, M, r)
                 d_sum[k] += (per_ue @ per_ue.conj().swapaxes(1, 2)).sum(axis=0)
                 d_sum[k].flat[::len(cluster) + 1] += sigma2 * (np.abs(v_k) ** 2).sum(axis=(0, 2))
+        del draws, est, local   # free this chunk before the next one is drawn
 
     pi = None
     if need_pi:

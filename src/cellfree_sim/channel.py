@@ -145,8 +145,6 @@ def local_scattering_covariance(azimuth, elevation, n_antennas: int,
     """
     if not sigma > 0:
         raise ConfigError("angle spread must be positive")
-    if n_antennas < 1:
-        raise ConfigError("n_antennas must be >= 1")
     azimuth, elevation = np.broadcast_arrays(azimuth, elevation)
     if not np.all((elevation >= 0.0) & (elevation <= np.pi / 2)):
         raise ConfigError("elevation must lie in [0, pi/2]")
@@ -227,8 +225,6 @@ def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
     if kappa_override is None:
         kappa = rician_factor(dep.distances_3d)
     else:
-        if kappa_override < 0:
-            raise ConfigError("kappa_override must be >= 0")
         kappa = np.full((K, L), float(kappa_override))
     with np.errstate(invalid="ignore"):
         los_share = np.where(np.isinf(kappa), 1.0, kappa / (kappa + 1.0))

@@ -166,13 +166,11 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     """Run the full pipeline for several schemes on shared draws.
 
     `stat_draws` feed the LSFD weights and the stage-two coupling matrices;
-    `eval_draws` feed the SE estimates. Both budgets must be at least 2 and
-    use draw streams keyed by (role, chunk index), so results are
-    reproducible for any worker layout, and all schemes see identical draws
-    (paired comparison). One `PilotEstimator` serves both budgets.
+    `eval_draws` feed the SE estimates and need 2 draws (`_batch_ci`); the
+    config requires both budgets to be at least 2. Streams keyed by (role,
+    chunk index) make results reproducible for any worker layout and give
+    all schemes identical draws (paired comparison), from one `PilotEstimator`.
     """
-    if stat_draws < 2 or eval_draws < 2:
-        raise ConfigError("draw budgets must be at least 2")
     schemes = [Scheme(s) for s in schemes]
     prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
     sigma2 = cfg.noise_power_w
@@ -209,6 +207,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
                 v = assemble_ltmmse(local, stage2_full)
             per_scheme[scheme].append(_per_draw_terms(v, draws.true_channels, est))
             del v   # free this combiner before the next scheme builds its own
+        del draws, est, local   # free this chunk before the next one is drawn
 
     reports = {}
     for scheme, chunks in per_scheme.items():

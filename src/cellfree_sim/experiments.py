@@ -144,7 +144,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         try:
             area = AreaConfig(**merged)
             area.validate()
-        except (ConfigError, TypeError) as exc:
+        except ConfigError as exc:
             problems.append(f"area: {exc}")
             area = None
 

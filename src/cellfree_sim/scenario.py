@@ -138,7 +138,6 @@ def deploy(cfg: AreaConfig, rng: np.random.Generator) -> Deployment:
     the AP; azimuth and elevation are taken toward the minimizing copy so the
     angles match the dominant propagation path.
     """
-    cfg.validate()
     side = cfg.side_length_m
     ap_xy = rng.uniform(0.0, side, size=(cfg.ap_count, 2))
     ue_xy = rng.uniform(0.0, side, size=(cfg.ue_count, 2))

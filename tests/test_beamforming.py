@@ -155,6 +155,15 @@ class TestLsfdWeights:
         assert flagged == (0,)
         assert np.all(np.isfinite(weights[0]))
 
+    def test_overflowing_solve_falls_back_to_ridge(self):
+        # D^-1 f = (1e318, 1) overflows to inf, and solve raises nothing
+        f = np.array([1e10 + 0j, 1.0])
+        D = np.diag([1e-308, 1.0]).astype(complex)
+        assert not np.all(np.isfinite(np.linalg.solve(D, f)))
+        weights, flagged = lsfd_weights(LsfdMoments(mean_gain=(f,), denominator=(D,)))
+        assert flagged == (0,)
+        assert np.all(np.isfinite(weights[0]))
+
     def test_rayleigh_quotient_maximality(self, rng):
         # the returned weights beat 200 random directions on the UatF SINR
         M, K, k = 3, 4, 1
@@ -371,6 +380,18 @@ class TestStageTwo:
         for k in (1, 2):
             np.testing.assert_array_equal(np.delete(stage2[k], 2, axis=0), 0.0)
             np.testing.assert_allclose(stage2[k, 2], np.eye(K)[k], atol=1e-15)
+
+    def test_singular_ue_system_with_regular_aps_takes_least_squares_fallback(self):
+        # A_0 = 0.5 and A_1 = -1 are regular, but the UE system
+        # A_0^-1 + A_1^-1 - 1 = 2 - 1 - 1 is exactly 0. The block system
+        # [[1, 2], [0.5, 1]] is singular too; its least-squares solution is 0.24 (1, 2)
+        pi = PiSet(pi=np.array([[[0.5]], [[2.0]]], dtype=complex), se=np.zeros((2, 1, 1)))
+        stage2, flagged = stage2_all(pi, make_plan([0], [[0, 1]]))
+        assert flagged == (0,)
+        block, fallback = ltmmse_stage2(pi, np.array([0, 1]), k=0)
+        assert fallback
+        np.testing.assert_array_equal(stage2[0], block)
+        np.testing.assert_allclose(stage2[0, :, 0], [0.24, 0.48], rtol=1e-12)
 
     def test_unit_stage_two_reduces_to_unit_lmmse(self, rng):
         est = synthetic_estimates(rng, R=3, L=2, N=2, K=3, err_scale=0.2)

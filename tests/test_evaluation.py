@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellfree_sim import beamforming
 from cellfree_sim.beamforming import (
     CHUNK,
     DRAW_BLOCK,
@@ -328,9 +330,10 @@ class TestEngine:
         assert float(run.stdout) <= 0.03
 
     def test_budget_guard(self):
+        # the config requires both budgets to be >= 2; the CIs need 2 draws
         cfg, plan, stats = build_instance(4)
-        with pytest.raises(ConfigError):
-            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 1, 10, 0)
+        with pytest.raises(ConfigError, match="at least 2 draws"):
+            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 10, 1, 0)
 
 
 def traced_peak(fn) -> int:
@@ -392,7 +395,9 @@ class TestDrawBlocks:
         assert np.array_equal(pi.se, np.sqrt(variance / mc))
 
     # Desk instance (36 APs, 16 UEs, N=2); peaks in units of one (CHUNK, L, N, K)
-    # complex array. Forming whole-chunk temporaries read 8.1 and 5.7 units.
+    # complex array. Forming whole-chunk temporaries read 8.1 and 5.7 units;
+    # over three chunks, holding the previous chunk while the next one is
+    # drawn read 9.8 and 8.6.
     DESK = dict(L=36, K=16, N=2, tau_p=4, side=1000.0)
     UNIT = CHUNK * 36 * 2 * 16 * np.dtype(complex).itemsize
 
@@ -408,3 +413,33 @@ class TestDrawBlocks:
         peak = traced_peak(lambda: statistics_pass(
             estimator, CHUNK, subsequence(7, ROLE_STATISTICS), need_pi=True, need_lsfd=True))
         assert peak / self.UNIT <= 5.3
+
+    def test_chunk_is_freed_before_the_next_one_is_drawn(self, monkeypatch):
+        cfg, plan, stats = build_instance(3)
+        chunks = estimated_draws(PilotEstimator(stats, plan, cfg), 2 * CHUNK, 5)
+        draws, est = next(chunks)
+        previous = weakref.ref(draws)
+        del draws, est
+        alive_at_draw = []
+        sample = beamforming.sample_channels
+
+        def checked_sample(*args):
+            alive_at_draw.append(previous() is not None)
+            return sample(*args)
+
+        monkeypatch.setattr(beamforming, "sample_channels", checked_sample)
+        next(chunks)
+        assert alive_at_draw == [False]
+
+    def test_evaluation_frees_each_chunk(self):
+        cfg, plan, stats = build_instance(3, **self.DESK)
+        peak = traced_peak(lambda: evaluate_schemes(
+            stats, plan, cfg, [Scheme.LMMSE_LSFD, Scheme.LTMMSE], 3 * CHUNK, 3 * CHUNK, 7))
+        assert peak / self.UNIT <= 8.5
+
+    def test_statistics_pass_frees_each_chunk(self):
+        cfg, plan, stats = build_instance(3, **self.DESK)
+        estimator = PilotEstimator(stats, plan, cfg)
+        peak = traced_peak(lambda: statistics_pass(
+            estimator, 3 * CHUNK, subsequence(7, ROLE_STATISTICS), need_pi=True, need_lsfd=True))
+        assert peak / self.UNIT <= 6.1

@@ -184,6 +184,13 @@ class TestParseConfig:
         pytest.param({"setups": MAX_COUNT + 1}, id="setups-above-max-count"),
         pytest.param({"stat_budget": HUGE_INT}, id="stat_budget-huge-int"),
         pytest.param({"eval_budget": MAX_COUNT + 1}, id="eval_budget-above-max-count"),
+        # inputs that only the config rejects: the layers trust the run plan
+        pytest.param({"kappa_grid": [-1.0]}, id="kappa_grid-negative"),
+        pytest.param({"area": {"antennas_per_ap": 0}}, id="antennas_per_ap-zero"),
+        pytest.param({"stat_budget": 1}, id="stat_budget-one"),
+        pytest.param({"eval_budget": 1}, id="eval_budget-one"),
+        pytest.param({"area": {"ap_count": "4"}}, id="ap_count-string"),
+        pytest.param({"area": {"side_length_m": "350"}}, id="side_length_m-string"),
     ])
     def test_malformed_values_raise_config_error(self, overrides):
         experiment = "density_sweep" if "d_grid" in overrides else "kappa_sweep"
@@ -230,6 +237,23 @@ class TestParseConfig:
     def test_non_object_d_grid_entry_is_named_in_the_message(self):
         with pytest.raises(ConfigError, match="d_grid must be a list of objects"):
             config_from_dict({"experiment": "density_sweep", "d_grid": ["ab"]})
+
+    def test_unknown_d_grid_entry_key_is_named_in_the_message(self):
+        with pytest.raises(ConfigError, match=r"unknown d_grid keys: \['p'\]"):
+            config_from_dict({"experiment": "density_sweep", "d_grid": [{"d_m": 300.0, "p": 1}]})
+
+    def test_non_object_root_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
+            parse_config(write_config(tmp_path, "[]"))
+
+    @pytest.mark.parametrize("area, message", [
+        pytest.param({"side_length_m": 0}, "side_length_m must be > 0", id="side-zero"),
+        pytest.param({"side_length_m": -1}, "side_length_m must be > 0", id="side-negative"),
+        pytest.param({"shadow_std_db": -1}, "shadow_std_db must be >= 0", id="shadow-negative"),
+    ])
+    def test_area_sign_rules_are_named_in_the_message(self, area, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"experiment": "cdf", "area": area})
 
     @given(raw=fuzzed_config)
     @settings(max_examples=200, deadline=None)
@@ -486,6 +510,21 @@ class TestCli:
             payload = {"experiment": "cdf", "area": TINY_AREA, "setups": 1,
                        "stat_budget": 10, "eval_budget": 10, "out_dir": str(out_dir)}
             assert main(["--config", write_config(tmp_path, payload)]) == 2
+
+    def test_zero_threads_exit_with_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"experiment": "cdf", "out_dir": str(tmp_path / "r")})
+        assert main(["--config", config, "--threads", "0"]) == 2
+        assert "thread count must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_unwritable_result_file_exits_with_config_error(self, tmp_path, capsys):
+        # the output directory exists, but the CSV path is a directory
+        out = tmp_path / "r"
+        (out / "cdf.csv").mkdir(parents=True)
+        payload = {"experiment": "cdf", "area": TINY_AREA, "setups": 1,
+                   "stat_budget": 10, "eval_budget": 10, "out_dir": str(out)}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        assert "cannot write results" in capsys.readouterr().err
 
     def test_huge_count_exits_with_config_error(self, tmp_path, capsys):
         payload = {"experiment": "cdf", "area": {**TINY_AREA, "ap_count": HUGE_INT},
