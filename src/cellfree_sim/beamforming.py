@@ -10,8 +10,8 @@ Three combiner families with increasing CSI centralization:
   matrices Pi_l and make the pair jointly optimal among all combiners that
   use only local instantaneous CSI.
 * ``MMSE``: the centralized optimum, solved on the cluster-restricted system
-  (blocks outside the serving cluster are identically zero, so the full-size
-  solve would be wasted work).
+  (blocks outside the serving cluster are identically zero) as one K x K
+  system per draw.
 
 Statistical quantities (Pi_l, LSFD moments) are Monte Carlo estimates over a
 dedicated draw budget, kept separate from the draws used for SE evaluation.
@@ -59,43 +59,41 @@ class LsfdMoments:
     denominator: tuple[np.ndarray, ...]   # D_k = sum_i p_i E g_ki g_ki^H + sigma^2 diag(E|v_lk|^2)
 
 
-def mmse_combiner(est: EstimateSet, plan: ServicePlan, sigma2: float) -> np.ndarray:
+def mmse_combiner(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
     """Centralized MMSE combiner, solved per UE on its serving cluster.
+
+    With C_c = blockdiag(C_l) over the cluster, the push-through identity
+    (Henderson & Searle, SIAM Review 1981) gives one K x K solve per draw:
+
+        v_k = sqrt(p_k) B_c y,  B_c = C_c^-1 H_c,  (I + P H_c^H B_c) y = e_k.
 
     Like every combiner here it returns (draws, L, N, K) vectors whose blocks
     outside each UE's serving cluster are exactly zero.
     """
     R, L, N, K = est.estimates.shape
-    sqrt_p = np.sqrt(plan.powers_w)
+    c_inv = np.linalg.inv(est.c_matrices)
+    by_ap = est.estimates.transpose(1, 2, 0, 3)   # (L, N, R, K): one C_l^-1 product for all draws
+    eye = np.eye(K)
     vectors = np.zeros((R, L, N, K), dtype=complex)
-    for k in range(K):
-        cluster = plan.cluster_of_ue[k]
-        M = len(cluster)
-        Hc = est.estimates[:, cluster].reshape(R, M * N, K)
-        system = (Hc * plan.powers_w) @ Hc.conj().swapaxes(1, 2)
-        # error covariances on the diagonal (N, N) blocks, then the noise floor;
-        # in place, as reshaping the freshly allocated Gram returns views
-        same = np.arange(M)
-        system.reshape(R, M, N, M, N)[:, same, :, same] += est.z_matrices[cluster][:, None]
-        system.reshape(R, -1)[:, ::M * N + 1] += sigma2
-        rhs = sqrt_p[k] * Hc[:, :, k]
-        solution = np.linalg.solve(system, rhs[..., None])[..., 0]
+    for k, cluster in enumerate(plan.cluster_of_ue):
+        Hc = by_ap[cluster]                                      # (M, N, R, K)
+        Bc = (c_inv[cluster] @ Hc.reshape(len(cluster), N, -1)).reshape(-1, R, K).swapaxes(0, 1)
+        gram = Hc.reshape(-1, R, K).swapaxes(0, 1).conj().swapaxes(1, 2) @ Bc
+        y = np.sqrt(plan.powers_w[k]) * np.linalg.solve(eye + plan.powers_w[:, None] * gram, eye[k])
         # mixed basic/advanced indexing puts the cluster axis first
-        vectors[:, cluster, :, k] = solution.reshape(R, M, N).transpose(1, 0, 2)
+        vectors[:, cluster, :, k] = (Bc @ y[..., None]).reshape(R, -1, N).swapaxes(0, 1)
     return vectors
 
 
-def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan, sigma2: float) -> np.ndarray:
+def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
     """Local MMSE matrices of every AP for a batch of draws, shape (draws, L, N, K).
 
     Column k of the (N, K) matrix of AP l is the local combiner of UE k.
     """
     scaled = est.estimates * np.sqrt(plan.powers_w)
-    N = scaled.shape[-2]
     # one einsum loop: a batched matmul calls BLAS once per small (N, K) product
     system = np.einsum("rlnk,rlmk->rlnm", scaled, scaled.conj())
-    system += est.z_matrices
-    system += sigma2 * np.eye(N)
+    system += est.c_matrices
     return np.linalg.solve(system, scaled)
 
 
@@ -135,7 +133,7 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
     d_sum = [np.zeros((len(c), len(c)), dtype=complex) for c in clusters]
 
     for draws, est in estimated_draws(estimator, mc, stream):
-        local = lmmse_local_matrices(est, plan, sigma2)
+        local = lmmse_local_matrices(est, plan)
 
         if need_pi:
             # cross[r, l, i, j] = sqrt(p_i) h_hat_li^H v_lj, DRAW_BLOCK draws at a time

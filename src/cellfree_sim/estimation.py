@@ -23,7 +23,7 @@ class EstimateSet:
     """MMSE channel estimates for a batch of draws."""
 
     estimates: np.ndarray   # (draws, L, N, K) complex
-    z_matrices: np.ndarray  # (L, N, N) power-weighted error covariance sums
+    c_matrices: np.ndarray  # (L, N, N) C_l = Z_l + sigma^2 I, Z_l = sum_k p_k err_cov[k, l]
 
     @property
     def n_draws(self) -> int:
@@ -34,9 +34,9 @@ class PilotEstimator:
     """Precomputed pilot-phase processing for one (stats, plan, cfg) triple.
 
     Holds the innovation covariances, the per-pair MMSE gain matrices, error
-    covariances and their power-weighted sums. The pilot count tau_p is
-    `cfg.pilot_count`, the one the prelog uses. Immutable after construction;
-    safe to share across Monte Carlo workers.
+    covariances and the per-AP noise-plus-error covariances C_l. The pilot
+    count tau_p is `cfg.pilot_count`, the one the prelog uses. Immutable after
+    construction; safe to share across Monte Carlo workers.
     """
 
     def __init__(self, stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig):
@@ -61,7 +61,8 @@ class PilotEstimator:
         err = cov - eta * tau_p * (solved_h @ cov)
         self.err_cov = 0.5 * (err + err.conj().swapaxes(-1, -2))
 
-        self.z_matrices = np.einsum("k,klnm->lnm", plan.powers_w, self.err_cov)
+        self.c_matrices = (np.einsum("k,klnm->lnm", plan.powers_w, self.err_cov)
+                           + cfg.noise_power_w * np.eye(N))
         # coefficient matrix: column t holds sqrt(eta_i) * tau_p on the UEs of pilot t
         coef = np.zeros((K, tau_p))
         coef[np.arange(K), plan.pilot_of_ue] = np.sqrt(plan.pilot_powers_w) * tau_p
@@ -99,4 +100,4 @@ class PilotEstimator:
         estimates = self.gain @ per_ue.transpose(3, 1, 2, 0)  # (K, L, N, R)
         estimates += self.stats.los_mean[..., None]
         estimates = np.ascontiguousarray(estimates.transpose(3, 1, 2, 0))
-        return EstimateSet(estimates=estimates, z_matrices=self.z_matrices)
+        return EstimateSet(estimates=estimates, c_matrices=self.c_matrices)

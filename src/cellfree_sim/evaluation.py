@@ -112,18 +112,18 @@ def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: f
     return BoundEstimate(se=se, ci=ci), tuple(np.flatnonzero(clamped).tolist())
 
 
-def cd_se(est_gains: np.ndarray, err_quad: np.ndarray, vnorm2: np.ndarray,
-          powers: np.ndarray, sigma2: float, prelog: float) -> BoundEstimate:
+def cd_se(est_gains: np.ndarray, noise_quad: np.ndarray, powers: np.ndarray,
+          prelog: float) -> BoundEstimate:
     """Coherent-decoding bound from per-draw ESTIMATED channel gains.
 
-    `est_gains[r, k, i]` is the combined estimated channel, `err_quad[r, k]`
-    the estimation-error quadratic form v^H Z v on the serving cluster. The
+    `est_gains[r, k, i]` is the combined estimated channel, `noise_quad[r, k]`
+    the noise-plus-error quadratic form v^H C v on the serving cluster. The
     per-draw log terms are averaged; expectations stay inside the log.
     """
     K = est_gains.shape[1]
     own = np.abs(est_gains[:, np.arange(K), np.arange(K)]) ** 2
     total = (np.abs(est_gains) ** 2) @ powers
-    denom = np.maximum(total - powers * own, 0.0) + err_quad + sigma2 * vnorm2
+    denom = np.maximum(total - powers * own, 0.0) + noise_quad
     log_terms = _log_sinr(powers * own, denom)
 
     def se_of(terms):
@@ -136,10 +136,10 @@ def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet
                     ) -> tuple[np.ndarray, ...]:
     """Per-draw terms of one scheme's (draws, L, N, K) combiners `v`: gains
     g[r, k, i] = v_k^H h_i on the true `channels` and on the estimates, the
-    error quadratic form v_k^H Z v_k and ||v_k||^2, all over the L*N antennas.
+    quadratic form v_k^H C v_k and ||v_k||^2, all over the L*N antennas.
 
     They are formed DRAW_BLOCK draws at a time into preallocated outputs, so
-    the conjugate of `v` and Z v never take a whole chunk of memory.
+    the conjugate of `v` and C v never take a whole chunk of memory.
     """
     R, L, N, K = v.shape
     gains = np.empty((R, K, K), dtype=complex)
@@ -154,8 +154,8 @@ def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet
         v_h = v_b.reshape(-1, L * N, K).conj().swapaxes(1, 2)
         gains[block] = v_h @ H[block]
         est_gains[block] = v_h @ H_hat[block]
-        z_v = est.z_matrices @ v_b                          # Z_l v_lk per AP
-        quad[block] = np.sum(v_b.real * z_v.real + v_b.imag * z_v.imag, axis=(1, 2))
+        c_v = est.c_matrices @ v_b                          # C_l v_lk per AP
+        quad[block] = np.sum(v_b.real * c_v.real + v_b.imag * c_v.imag, axis=(1, 2))
         vnorm2[block] = np.sum(np.abs(v_b) ** 2, axis=(1, 2))
     return gains, est_gains, quad, vnorm2
 
@@ -196,11 +196,11 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     per_scheme: dict[Scheme, list[tuple[np.ndarray, ...]]] = {s: [] for s in schemes}
     eval_seq = subsequence(stream, ROLE_EVALUATION)
     for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
-        local = lmmse_local_matrices(est, plan, sigma2) if need_local else None
+        local = lmmse_local_matrices(est, plan) if need_local else None
 
         for scheme in schemes:
             if scheme is Scheme.MMSE:
-                v = mmse_combiner(est, plan, sigma2)
+                v = mmse_combiner(est, plan)
             elif scheme is Scheme.LMMSE_LSFD:
                 v = assemble_lmmse_lsfd(local, weights, plan)
             else:
@@ -213,7 +213,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     for scheme, chunks in per_scheme.items():
         gains, est_gains, quad, vnorm2 = (np.concatenate(field) for field in zip(*chunks))
         uatf, clamped = uatf_se(gains, vnorm2, plan.powers_w, sigma2, prelog)
-        cd = cd_se(est_gains, quad, vnorm2, plan.powers_w, sigma2, prelog)
+        cd = cd_se(est_gains, quad, plan.powers_w, prelog)
         reports[scheme] = SeReport(
             uatf=uatf,
             cd=cd,

@@ -228,10 +228,11 @@ def power_control(gains_db: np.ndarray, clusters, v: float, p_max: float) -> np.
     """
     beta_lin = 10.0 ** (np.asarray(gains_db, dtype=float) / 10.0)
     sums = np.array([beta_lin[k, cluster].sum() for k, cluster in enumerate(clusters)])
-    if v < 0 and np.any(sums == 0.0):
-        raise ConfigError("every serving gain of a UE underflows to zero, which a negative "
-                          "power-control exponent cannot weight; lower side_length_m (d_m of "
-                          "a density sweep) or carrier_freq_mhz")
+    # v < 0 cannot weight one zero sum, and v > 0 gives ln 0 - ln 0 = NaN when all are zero
+    if v < 0 and np.any(sums == 0.0) or v > 0 and not np.any(sums):
+        raise ConfigError(f"serving gains underflow to zero, which power-control exponent {v} "
+                          "cannot weight; lower side_length_m (d_m of a density sweep) or "
+                          "carrier_freq_mhz")
     if v == 0:  # full power, also for a zero sum, where v * ln 0 would be NaN
         return np.full(sums.shape, float(p_max))
     # ln 0 = -inf gives a zero sum power 0 for v > 0, and so does an exponent

@@ -1,9 +1,11 @@
 """Test oracles: independent checks that the shipped code is measured against.
 
 `error_statistics_check` checks the estimator's moments by Monte Carlo on the
-same draw pipeline the engine uses; `wrapped_distance` is the scalar
-wrap-around distance that `scenario.deploy` computes for every pair at once.
-Neither is on the path of `run_experiment`, so both live with the tests.
+same draw pipeline the engine uses; `mmse_cluster_solve` is the centralized
+MMSE combiner by the direct M N x M N solve that `beamforming.mmse_combiner`
+replaces with a K x K one; `wrapped_distance` is the scalar wrap-around
+distance that `scenario.deploy` computes for every pair at once. None is on
+the path of `run_experiment`, so all live with the tests.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from cellfree_sim.beamforming import estimated_draws
 from cellfree_sim.errors import ConfigError
-from cellfree_sim.estimation import PilotEstimator
+from cellfree_sim.estimation import EstimateSet, PilotEstimator
+from cellfree_sim.scenario import ServicePlan
 
 # Offsets of the 9 mirror copies of a point on the wrapped square.
 MIRROR_SHIFTS = np.array([(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
@@ -117,6 +121,25 @@ def error_statistics_check(estimator: PilotEstimator, n_draws: int, stream,
         copilot_pairs=tuple(pairs),
         copilot_estimate_corr=tuple(corr),
     )
+
+
+def mmse_cluster_solve(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
+    """Centralized MMSE combiners v_k = sqrt(p_k) (H_c P H_c^H + C_c)^-1 h_k,
+    one M N x M N solve per draw on UE k's cluster of M APs, where
+    C_c = blockdiag(C_l) over the cluster. Returns (draws, L, N, K) vectors
+    that are zero outside each cluster.
+    """
+    R, L, N, K = est.estimates.shape
+    vectors = np.zeros((R, L, N, K), dtype=complex)
+    for k, cluster in enumerate(plan.cluster_of_ue):
+        M = len(cluster)
+        Hc = est.estimates[:, cluster].reshape(R, M * N, K)
+        system = (Hc * plan.powers_w) @ Hc.conj().swapaxes(1, 2)
+        system += scipy.linalg.block_diag(*est.c_matrices[cluster])
+        rhs = np.sqrt(plan.powers_w[k]) * Hc[:, :, k]
+        solution = np.linalg.solve(system, rhs[..., None])[..., 0]
+        vectors[:, cluster, :, k] = solution.reshape(R, M, N).transpose(1, 0, 2)
+    return vectors
 
 
 def wrapped_distance(a, b, side: float, dh: float) -> float:

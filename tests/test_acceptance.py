@@ -80,12 +80,12 @@ def test_criterion_1_pure_los_team_equals_centralized():
     draws = sample_channels(stats, gen, 1)
     estimator = PilotEstimator(stats, plan, cfg)
     est = estimator.estimate(draws, gen)
-    centralized = mmse_combiner(est, plan, cfg.noise_power_w)
+    centralized = mmse_combiner(est, plan)
 
     pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(2),
                             need_pi=True, need_lsfd=False)
     stage2, _ = stage2_all(pi, plan)
-    team = assemble_ltmmse(lmmse_local_matrices(est, plan, cfg.noise_power_w), stage2)
+    team = assemble_ltmmse(lmmse_local_matrices(est, plan), stage2)
 
     worst = 0.0
     for k in range(cfg.ue_count):
@@ -258,7 +258,7 @@ def test_criterion_8_team_fixed_point():
     draws = sample_channels(stats, gen, 1)
     estimator = PilotEstimator(stats, plan, cfg)
     est = estimator.estimate(draws, gen)
-    local = lmmse_local_matrices(est, plan, sigma2)
+    local = lmmse_local_matrices(est, plan)
     pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(81),
                             need_pi=True, need_lsfd=False)
     stage2, _ = stage2_all(pi, plan)

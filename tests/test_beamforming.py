@@ -1,5 +1,9 @@
 """Combiner computation: formulas, optimality and scheme equivalences."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,34 +24,49 @@ from cellfree_sim.channel import sample_channels
 from cellfree_sim.estimation import EstimateSet, PilotEstimator
 
 from conftest import build_instance, make_cfg, make_plan, make_stats
+from oracles import mmse_cluster_solve
 
 
-def synthetic_estimates(rng, R, L, N, K, err_scale=0.0):
-    """EstimateSet with Gaussian estimates and isotropic error covariances."""
+# sha256 of the MMSE combiners of 16 draws on a network whose every cluster
+# holds all 25 APs, so M N = 100: large enough for OpenBLAS to thread an
+# M N x M N LU factorization, and so to change its bits with the thread count.
+BLAS_THREAD_CHILD = """
+import hashlib
+from cellfree_sim.beamforming import estimated_draws, mmse_combiner
+from cellfree_sim.estimation import PilotEstimator
+from conftest import build_instance
+
+cfg, plan, stats = build_instance(5, L=25, K=2, N=4, tau_p=2, side=400.0)
+assert all(len(cluster) == 25 for cluster in plan.cluster_of_ue)
+(_, est), = estimated_draws(PilotEstimator(stats, plan, cfg), 16, 9)
+print(hashlib.sha256(mmse_combiner(est, plan).tobytes()).hexdigest())
+"""
+
+
+def synthetic_estimates(rng, R, L, N, K, err_scale=0.0, sigma2=0.0):
+    """EstimateSet with Gaussian estimates, isotropic error covariances of
+    unit-power UEs and noise power `sigma2`."""
     est = rng.standard_normal((R, L, N, K)) + 1j * rng.standard_normal((R, L, N, K))
-    err_cov = np.zeros((K, L, N, N), dtype=complex)
-    err_cov[..., np.arange(N), np.arange(N)] = err_scale
-    z = np.einsum("k,klnm->lnm", np.ones(K), err_cov)
-    return EstimateSet(estimates=est, z_matrices=z)
+    c = np.broadcast_to((K * err_scale + sigma2) * np.eye(N, dtype=complex), (L, N, N))
+    return EstimateSet(estimates=est, c_matrices=c)
 
 
 def combined_gains(vectors, channels):
     return np.einsum("rlnk,rlni->rki", vectors.conj(), channels)
 
 
-def detection_mse(vectors, est, powers, sigma2):
+def detection_mse(vectors, est, powers):
     """Model-implied detection MSE per UE, averaged over the draw set.
 
-    Per draw: 1 - 2 sqrt(p_k) Re(v^H h_hat_k) + v^H (H_hat P H_hat^H + Z +
-    sigma^2 I) v, evaluated on the full stacked arrays (the combiner support
-    enforces the cluster restriction).
+    Per draw: 1 - 2 sqrt(p_k) Re(v^H h_hat_k) + v^H (H_hat P H_hat^H + C) v
+    with C = Z + sigma^2 I, evaluated on the full stacked arrays (the
+    combiner support enforces the cluster restriction).
     """
     ghat = combined_gains(vectors, est.estimates)
     K = ghat.shape[1]
     own = ghat[:, np.arange(K), np.arange(K)]
-    quad = np.einsum("rlnk,lnm,rlmk->rk", vectors.conj(), est.z_matrices, vectors).real
-    vnorm2 = np.sum(np.abs(vectors) ** 2, axis=(1, 2))
-    second = (np.abs(ghat) ** 2) @ powers + quad + sigma2 * vnorm2
+    quad = np.einsum("rlnk,lnm,rlmk->rk", vectors.conj(), est.c_matrices, vectors).real
+    second = (np.abs(ghat) ** 2) @ powers + quad
     return 1.0 - 2.0 * np.sqrt(powers) * own.real.mean(axis=0) + second.mean(axis=0)
 
 
@@ -74,9 +93,9 @@ class TestMmseCombiner:
     def test_scalar_closed_form(self, rng):
         # detected symbol is v^H y, so the scalar solution is h/(|h|^2 + s2):
         # the conjugation happens at application time
-        est = synthetic_estimates(rng, R=16, L=1, N=1, K=1)
+        est = synthetic_estimates(rng, R=16, L=1, N=1, K=1, sigma2=0.3)
         plan = make_plan([0], [[0]], powers=[1.0])
-        v = mmse_combiner(est, plan, sigma2=0.3)
+        v = mmse_combiner(est, plan)
         h = est.estimates[:, 0, 0, 0]
         expected = h / (np.abs(h) ** 2 + 0.3)
         np.testing.assert_allclose(v[:, 0, 0, 0], expected, rtol=1e-12)
@@ -85,9 +104,9 @@ class TestMmseCombiner:
                                    rtol=1e-12)
 
     def test_support_confined_to_cluster(self, rng):
-        est = synthetic_estimates(rng, R=4, L=4, N=2, K=3, err_scale=0.1)
+        est = synthetic_estimates(rng, R=4, L=4, N=2, K=3, err_scale=0.1, sigma2=0.2)
         plan = make_plan([0, 0, 0], [[0, 2], [1], [2, 3]])
-        v = mmse_combiner(est, plan, sigma2=0.2)
+        v = mmse_combiner(est, plan)
         assert np.all(v[:, [1, 3], :, 0] == 0)
         assert np.all(v[:, [0, 2, 3], :, 1] == 0)
         assert np.all(v[:, [0, 1], :, 2] == 0)
@@ -96,27 +115,56 @@ class TestMmseCombiner:
     def test_first_order_optimality(self, rng):
         # random perturbations around the solution never reduce the
         # per-draw quadratic objective
-        est = synthetic_estimates(rng, R=6, L=3, N=2, K=4, err_scale=0.15)
-        plan = make_plan([0, 0, 1, 1], [[0, 1], [1, 2], [0, 1, 2], [2]])
+        est = synthetic_estimates(rng, R=6, L=3, N=2, K=4, err_scale=0.15, sigma2=0.4)
         powers = np.array([1.0, 0.5, 0.8, 1.2])
         plan = make_plan([0, 0, 1, 1], [[0, 1], [1, 2], [0, 1, 2], [2]], powers=powers)
-        sigma2 = 0.4
-        v = mmse_combiner(est, plan, sigma2)
-        base = detection_mse(v, est, powers, sigma2)
+        v = mmse_combiner(est, plan)
+        base = detection_mse(v, est, powers)
         for trial in range(100):
             noise = np.random.default_rng(trial).standard_normal(v.shape) * 1e-3
             perturbed = v + noise * (np.abs(v) > 0)
-            worse = detection_mse(perturbed, est, powers, sigma2)
+            worse = detection_mse(perturbed, est, powers)
             assert np.all(base <= worse + 1e-12)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+            run = subprocess.run([sys.executable, "-c", BLAS_THREAD_CHILD], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("N, clusters, powers", [
+        (1, [[0], [1, 2], [0, 1, 2], [2], [0, 2], [1]], [1.0, 0.4, 0.8, 0.6, 1.2, 0.9]),
+        (2, [[0, 1], [1, 2], [2], [0, 2]], [0.5, 1.0, 0.7, 0.9]),
+        (4, [[0, 1, 2], [1]], [1.0, 0.3]),
+        (2, [[0, 1], [2], [0, 1, 2]], [0.8, 0.0, 0.5]),
+    ], ids=["mn_below_k", "mn_equal_k", "mn_above_k", "zero_power_ue"])
+    def test_matches_cluster_solve(self, rng, N, clusters, powers):
+        # the K x K push-through form against the M N x M N solve, with
+        # Hermitian non-diagonal C_l and one-AP clusters in every case
+        R, L, K = 16, 3, len(powers)
+        x = rng.standard_normal((L, N, N)) + 1j * rng.standard_normal((L, N, N))
+        c = x @ x.conj().swapaxes(1, 2) / N + 0.3 * np.eye(N)
+        est = EstimateSet(estimates=synthetic_estimates(rng, R, L, N, K).estimates, c_matrices=c)
+        plan = make_plan(np.zeros(K, dtype=int), clusters, powers=powers)
+        v = mmse_combiner(est, plan)
+        reference = mmse_cluster_solve(est, plan)
+        deviation = np.linalg.norm(v - reference, axis=(1, 2))          # (R, K)
+        assert np.all(deviation <= 1e-12 * np.linalg.norm(reference, axis=(1, 2)))
+        assert np.all(v[..., np.asarray(powers) == 0.0] == 0.0)
 
 
 class TestLocalMatrix:
     def test_scalar_closed_form(self, rng):
         est = synthetic_estimates(rng, R=8, L=1, N=1, K=1)
         p, c, sigma2 = 0.7, 0.2, 0.15
-        z = np.array([[[p * c]]], dtype=complex)  # power-weighted error covariance
-        est = EstimateSet(estimates=est.estimates, z_matrices=z)
-        V = lmmse_local_matrices(est, make_plan([0], [[0]], powers=[p]), sigma2)
+        c_l = np.array([[[p * c + sigma2]]], dtype=complex)  # power-weighted error plus noise
+        est = EstimateSet(estimates=est.estimates, c_matrices=c_l)
+        V = lmmse_local_matrices(est, make_plan([0], [[0]], powers=[p]))
         h = est.estimates[:, 0, 0, 0]
         expected = np.sqrt(p) * h / (p * np.abs(h) ** 2 + p * c + sigma2)
         np.testing.assert_allclose(V[:, 0, 0, 0], expected, rtol=1e-12)
@@ -124,17 +172,17 @@ class TestLocalMatrix:
     def test_zero_estimates_give_zero_matrix(self):
         est = EstimateSet(
             estimates=np.zeros((3, 2, 2, 2), dtype=complex),
-            z_matrices=np.zeros((2, 2, 2), dtype=complex),
+            c_matrices=np.broadcast_to(0.1 * np.eye(2, dtype=complex), (2, 2, 2)),
         )
         plan = make_plan([0, 0], [[0], [1]])
-        V = lmmse_local_matrices(est, plan, sigma2=0.1)
+        V = lmmse_local_matrices(est, plan)
         assert np.all(V == 0)
 
     def test_single_ap_network_reduces_to_centralized(self, rng):
-        est = synthetic_estimates(rng, R=5, L=1, N=2, K=3, err_scale=0.3)
+        est = synthetic_estimates(rng, R=5, L=1, N=2, K=3, err_scale=0.3, sigma2=0.25)
         plan = make_plan([0, 0, 0], [[0], [0], [0]])
-        V = lmmse_local_matrices(est, plan, sigma2=0.25)
-        v = mmse_combiner(est, plan, sigma2=0.25)
+        V = lmmse_local_matrices(est, plan)
+        v = mmse_combiner(est, plan)
         np.testing.assert_allclose(v[:, 0], V[:, 0], rtol=1e-10)
 
 
@@ -226,7 +274,7 @@ class TestPiEstimation:
 
         draws = sample_channels(stats, np.random.default_rng(0), 1)
         eset = est.estimate(draws, np.random.default_rng(1))
-        local = lmmse_local_matrices(eset, plan, cfg.noise_power_w)
+        local = lmmse_local_matrices(eset, plan)
         exact = empirical_pi(eset, local, plan.powers_w)
         np.testing.assert_allclose(pi.pi, exact.pi, rtol=1e-10)
         assert np.all(pi.se < 1e-12)
@@ -265,7 +313,7 @@ class TestLsfdMoments:
 
         draws = sample_channels(stats, np.random.default_rng(0), 1)
         est = estimator.estimate(draws, np.random.default_rng(1))
-        local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
+        local = lmmse_local_matrices(est, plan)
         exact = empirical_lsfd_moments(est, local, draws.true_channels, plan, cfg.noise_power_w)
         for k in range(2):
             np.testing.assert_allclose(moments.mean_gain[k], exact.mean_gain[k], rtol=1e-12)
@@ -394,9 +442,9 @@ class TestStageTwo:
         np.testing.assert_allclose(stage2[0, :, 0], [0.24, 0.48], rtol=1e-12)
 
     def test_unit_stage_two_reduces_to_unit_lmmse(self, rng):
-        est = synthetic_estimates(rng, R=3, L=2, N=2, K=3, err_scale=0.2)
+        est = synthetic_estimates(rng, R=3, L=2, N=2, K=3, err_scale=0.2, sigma2=0.3)
         plan = make_plan([0, 0, 0], [[0, 1], [0], [1]])
-        local = lmmse_local_matrices(est, plan, sigma2=0.3)
+        local = lmmse_local_matrices(est, plan)
         stage2 = np.zeros((3, 2, 3), dtype=complex)
         for k, cluster in enumerate(plan.cluster_of_ue):
             stage2[k, cluster, :] = np.eye(3)[k]
@@ -411,13 +459,13 @@ class TestSchemeEquivalences:
         draws = sample_channels(stats, np.random.default_rng(1), 1)
         estimator = PilotEstimator(stats, plan, cfg)
         est = estimator.estimate(draws, np.random.default_rng(2))
-        centralized = mmse_combiner(est, plan, cfg.noise_power_w)
+        centralized = mmse_combiner(est, plan)
 
         pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(4),
                                 need_pi=True, need_lsfd=False)
         stage2, flagged = stage2_all(pi, plan)
         assert flagged == ()
-        local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
+        local = lmmse_local_matrices(est, plan)
         team = assemble_ltmmse(local, stage2)
         scale = np.abs(centralized).max()
         assert np.abs(team - centralized).max() < 1e-8 * scale
@@ -433,9 +481,9 @@ class TestSchemeEquivalences:
         est = PilotEstimator(stats, plan, cfg).estimate(draws, gen)
         sigma2 = cfg.noise_power_w
         powers = plan.powers_w
-        local = lmmse_local_matrices(est, plan, sigma2)
+        local = lmmse_local_matrices(est, plan)
 
-        centralized = mmse_combiner(est, plan, sigma2)
+        centralized = mmse_combiner(est, plan)
         stage2, _ = stage2_all(empirical_pi(est, local, powers), plan)
         team = assemble_ltmmse(local, stage2)
         moments = empirical_lsfd_moments(est, local, draws.true_channels, plan, sigma2)
@@ -448,9 +496,8 @@ class TestSchemeEquivalences:
         ghat = combined_gains(weighted, est.estimates)
         K = ghat.shape[1]
         own = np.sqrt(powers) * ghat[:, np.arange(K), np.arange(K)].mean(axis=0)
-        quad = np.einsum("rlnk,lnm,rlmk->rk", weighted.conj(), est.z_matrices, weighted).real
-        second = ((np.abs(ghat) ** 2) @ powers + quad
-                  + sigma2 * np.sum(np.abs(weighted) ** 2, axis=(1, 2))).mean(axis=0)
+        quad = np.einsum("rlnk,lnm,rlmk->rk", weighted.conj(), est.c_matrices, weighted).real
+        second = ((np.abs(ghat) ** 2) @ powers + quad).mean(axis=0)
         lam = own / second
         weighted_scaled = weighted * lam[None, None, None, :]
 
@@ -461,10 +508,10 @@ class TestSchemeEquivalences:
                 assert np.all(vectors[:, outside, :, k] == 0)
 
         mse = {
-            "mmse": detection_mse(centralized, est, powers, sigma2),
-            "team": detection_mse(team, est, powers, sigma2),
-            "weighted": detection_mse(weighted_scaled, est, powers, sigma2),
-            "unit": detection_mse(unit, est, powers, sigma2),
+            "mmse": detection_mse(centralized, est, powers),
+            "team": detection_mse(team, est, powers),
+            "weighted": detection_mse(weighted_scaled, est, powers),
+            "unit": detection_mse(unit, est, powers),
         }
         slack = 1e-9
         assert np.all(mse["mmse"] <= mse["team"] + slack)

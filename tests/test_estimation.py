@@ -115,7 +115,8 @@ class TestErrorCovariance:
         np.testing.assert_array_equal(est.gain, gain)
         np.testing.assert_array_equal(est.err_cov, err_cov)
         np.testing.assert_array_equal(
-            est.z_matrices, np.einsum("k,klnm->lnm", plan.powers_w, err_cov))
+            est.c_matrices, np.einsum("k,klnm->lnm", plan.powers_w, err_cov)
+            + cfg.noise_power_w * np.eye(cfg.antennas_per_ap))
 
     def test_gain_and_error_covariance_match_a_cholesky_oracle(self):
         # scipy's Cholesky solve is an independent oracle for the LU solve

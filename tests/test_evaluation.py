@@ -141,35 +141,34 @@ class TestUatfBound:
 
 class TestCdBound:
     def test_matches_per_draw_hand_loop(self, rng):
-        R, K, sigma2, prelog = 40, 2, 0.25, 0.975
+        R, K, prelog = 40, 2, 0.975
         g = rng.standard_normal((R, K, K)) + 1j * rng.standard_normal((R, K, K))
-        quad = rng.uniform(0.0, 0.5, size=(R, K))
-        vnorm2 = rng.uniform(0.5, 2.0, size=(R, K))
+        quad = rng.uniform(0.1, 1.0, size=(R, K))
         p = np.array([0.6, 1.0])
-        est = cd_se(g, quad, vnorm2, p, sigma2, prelog)
+        est = cd_se(g, quad, p, prelog)
 
         expected = np.zeros(K)
         for r in range(R):
             for k in range(K):
                 num = p[k] * abs(g[r, k, k]) ** 2
                 interference = sum(p[i] * abs(g[r, k, i]) ** 2 for i in range(K)) - num
-                den = interference + quad[r, k] + sigma2 * vnorm2[r, k]
+                den = interference + quad[r, k]
                 expected[k] += np.log2(1 + num / den) / R
         np.testing.assert_allclose(est.se, prelog * expected, rtol=1e-10)
 
     def test_scalar_per_draw_sinr(self, rng):
-        # K=1 with zero error covariance: per-draw SINR is p |g|^2 / (s2 |v|^2)
+        # K=1 with zero error covariance, C = s2 I: per-draw SINR is p |g|^2 / (s2 |v|^2)
         R = 24
         g = (rng.standard_normal((R, 1, 1)) + 1j * rng.standard_normal((R, 1, 1)))
         vnorm2 = rng.uniform(0.5, 2.0, size=(R, 1))
         p, sigma2 = 0.8, 0.2
-        est = cd_se(g, np.zeros((R, 1)), vnorm2, np.array([p]), sigma2, 1.0)
+        est = cd_se(g, sigma2 * vnorm2, np.array([p]), 1.0)
         sinr = p * np.abs(g[:, 0, 0]) ** 2 / (sigma2 * vnorm2[:, 0])
         assert est.se[0] == pytest.approx(np.log2(1 + sinr).mean(), rel=1e-12)
 
     def test_needs_two_draws(self):
         with pytest.raises(ConfigError):
-            cd_se(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1), 0.1, 1.0)
+            cd_se(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.ones(1), 1.0)
 
 
 class TestEngine:
@@ -266,7 +265,7 @@ class TestEngine:
         assert np.all(lt.uatf.se >= lsfd.uatf.se - tol_bot)
 
     def test_reported_moments_match_a_per_draw_hand_loop(self):
-        # every combined gain, error quadratic and combiner norm recomputed
+        # every combined gain, noise-plus-error quadratic and combiner norm recomputed
         # with np.vdot per (draw, UE k, UE i) on the same draw streams
         cfg, plan, stats = build_instance(3)
         stat_draws, eval_draws = 30, CHUNK + 22
@@ -285,9 +284,9 @@ class TestEngine:
         per_draw = {s: {"gain": [], "est_gain": [], "quad": [], "vnorm2": []} for s in Scheme}
         eval_seq = subsequence(stream, ROLE_EVALUATION)
         for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
-            local = lmmse_local_matrices(est, plan, sigma2)
+            local = lmmse_local_matrices(est, plan)
             combiners = {
-                Scheme.MMSE: mmse_combiner(est, plan, sigma2),
+                Scheme.MMSE: mmse_combiner(est, plan),
                 Scheme.LMMSE_LSFD: assemble_lmmse_lsfd(local, weights, plan),
                 Scheme.LTMMSE: assemble_ltmmse(local, stage2),
             }
@@ -299,7 +298,7 @@ class TestEngine:
                     per_draw[scheme]["est_gain"].append(
                         [[np.vdot(vr[..., k], hhat[..., i]) for i in range(K)] for k in range(K)])
                     per_draw[scheme]["quad"].append(
-                        [sum(np.vdot(vr[l, :, k], est.z_matrices[l] @ vr[l, :, k]).real
+                        [sum(np.vdot(vr[l, :, k], est.c_matrices[l] @ vr[l, :, k]).real
                              for l in range(vr.shape[0])) for k in range(K)])
                     per_draw[scheme]["vnorm2"].append(
                         [np.vdot(vr[..., k], vr[..., k]).real for k in range(K)])
@@ -314,7 +313,7 @@ class TestEngine:
             noise = sigma2 * vnorm2.mean(axis=0)
             sinr = signal / (np.maximum(interference - signal, 0.0) + noise)
             np.testing.assert_allclose(rep.uatf.se, prelog * np.log2(1.0 + sinr), rtol=1e-12)
-            cd = cd_se(est_gain, quad, vnorm2, p, sigma2, prelog)
+            cd = cd_se(est_gain, quad, p, prelog)
             np.testing.assert_allclose(rep.cd.se, cd.se, rtol=1e-12)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
@@ -357,17 +356,16 @@ class TestDrawBlocks:
         estimator = PilotEstimator(stats, plan, cfg)
         (draws, est), = estimated_draws(estimator, CHUNK - 5, 17)
         assert (CHUNK - 5) % DRAW_BLOCK != 0
-        sigma2 = cfg.noise_power_w
-        local = lmmse_local_matrices(est, plan, sigma2)
+        local = lmmse_local_matrices(est, plan)
         pi, _ = statistics_pass(estimator, 20, 23, need_pi=True, need_lsfd=False)
         stage2, _ = stage2_all(pi, plan)
-        for v in (mmse_combiner(est, plan, sigma2), assemble_ltmmse(local, stage2)):
+        for v in (mmse_combiner(est, plan), assemble_ltmmse(local, stage2)):
             R, L, N, K = v.shape
             v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
-            z_v = est.z_matrices @ v
+            c_v = est.c_matrices @ v
             expected = (v_h @ draws.true_channels.reshape(R, L * N, K),
                         v_h @ est.estimates.reshape(R, L * N, K),
-                        np.sum(v.real * z_v.real + v.imag * z_v.imag, axis=(1, 2)),
+                        np.sum(v.real * c_v.real + v.imag * c_v.imag, axis=(1, 2)),
                         np.sum(np.abs(v) ** 2, axis=(1, 2)))
             for got, want in zip(_per_draw_terms(v, draws.true_channels, est), expected):
                 assert np.array_equal(got, want)
@@ -379,7 +377,7 @@ class TestDrawBlocks:
         pi, _ = statistics_pass(estimator, mc, stream, need_pi=True, need_lsfd=False)
 
         (_, est), = estimated_draws(estimator, mc, stream)
-        local = lmmse_local_matrices(est, plan, cfg.noise_power_w)
+        local = lmmse_local_matrices(est, plan)
         scaled_h = (est.estimates.conj() * np.sqrt(plan.powers_w)).swapaxes(-1, -2)
         pi_sum = np.zeros(pi.pi.shape, dtype=complex)
         pi_sumsq = np.zeros(pi.pi.shape)

@@ -542,23 +542,32 @@ class TestCli:
         values = se_and_ci(tmp_path / "r" / "cdf.csv")
         assert values and all(math.isfinite(value) for value in values)
 
-    @pytest.mark.parametrize("key, value", [
-        ("shadow_std_db", 400.0), ("shadow_std_db", 1e6),
-        ("height_diff_m", 0.0), ("height_diff_m", 1e300),
-        ("side_length_m", 1e-300), ("side_length_m", 1e130), ("side_length_m", 1e160),
-        ("side_length_m", 1e300),
-        *[(key, value) for key in ("p_max_w", "pilot_power_w", "noise_power_w")
-          for value in (1e-300, 1e300)],
-        ("carrier_freq_mhz", 1e300),
-        ("d_m", 1e-300), ("d_m", 1e130), ("d_m", 1e300),
+    @pytest.mark.parametrize("key, value, pc_exponent", [
+        *[pytest.param(key, value, None, id=f"{key}-{value}") for key, value in [
+            ("shadow_std_db", 400.0), ("shadow_std_db", 1e6),
+            ("height_diff_m", 0.0), ("height_diff_m", 1e300),
+            ("side_length_m", 1e-300), ("side_length_m", 1e130), ("side_length_m", 1e160),
+            ("side_length_m", 1e300),
+            *[(key, value) for key in ("p_max_w", "pilot_power_w", "noise_power_w")
+              for value in (1e-300, 1e300)],
+            ("carrier_freq_mhz", 1e300),
+            ("d_m", 1e-300), ("d_m", 1e130), ("d_m", 1e300),
+        ]],
+        # every gain underflows, and a positive exponent cannot weight all-zero sums
+        *[pytest.param(key, value, 1.0, id=f"{key}-{value}-pc_exponent-1") for key, value in [
+            ("side_length_m", 1e130), ("carrier_freq_mhz", 1e300), ("d_m", 1e130),
+        ]],
     ])
-    def test_extreme_area_values_end_in_a_defined_exit(self, tmp_path, capsys, key, value):
+    def test_extreme_area_values_end_in_a_defined_exit(self, tmp_path, capsys, key, value,
+                                                       pc_exponent):
         # a run, not only a parse: success with finite results, or exit 2 or 3
         if key == "d_m":
             payload = {"experiment": "density_sweep", "area": TOY_AREA,
                        "d_grid": [{"d_m": value}]}
         else:
             payload = {"experiment": "cdf", "area": {**TOY_AREA, key: value}}
+        if pc_exponent is not None:
+            payload["pc_exponent"] = pc_exponent
         out = tmp_path / "r"
         payload.update(setups=1, stat_budget=10, eval_budget=10, seed=3, out_dir=str(out))
         with warnings.catch_warnings(record=True) as caught:

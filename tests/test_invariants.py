@@ -98,19 +98,19 @@ def instance():
 
 @pytest.mark.parametrize("combiner", [mmse_combiner, lmmse_local_matrices])
 def test_combiners_follow_ue_relabelling(instance, combiner):
-    cfg, plan, _, est, _, _ = instance
-    relabelled = EstimateSet(estimates=est.estimates[..., UE_ORDER], z_matrices=est.z_matrices)
-    assert_permuted(combiner(relabelled, relabel_ues(plan, UE_ORDER), cfg.noise_power_w),
-                    combiner(est, plan, cfg.noise_power_w)[..., UE_ORDER])
+    _, plan, _, est, _, _ = instance
+    relabelled = EstimateSet(estimates=est.estimates[..., UE_ORDER], c_matrices=est.c_matrices)
+    assert_permuted(combiner(relabelled, relabel_ues(plan, UE_ORDER)),
+                    combiner(est, plan)[..., UE_ORDER])
 
 
 @pytest.mark.parametrize("combiner", [mmse_combiner, lmmse_local_matrices])
 def test_combiners_follow_ap_relabelling(instance, combiner):
-    cfg, plan, _, est, _, _ = instance
+    _, plan, _, est, _, _ = instance
     relabelled = EstimateSet(estimates=est.estimates[:, AP_ORDER],
-                             z_matrices=est.z_matrices[AP_ORDER])
-    assert_permuted(combiner(relabelled, relabel_aps(plan, AP_ORDER), cfg.noise_power_w),
-                    combiner(est, plan, cfg.noise_power_w)[:, AP_ORDER])
+                             c_matrices=est.c_matrices[AP_ORDER])
+    assert_permuted(combiner(relabelled, relabel_aps(plan, AP_ORDER)),
+                    combiner(est, plan)[:, AP_ORDER])
 
 
 def test_stage_two_follows_ue_relabelling(instance):
@@ -138,21 +138,21 @@ def test_lsfd_weights_follow_ue_relabelling(instance):
 def test_bounds_follow_ue_relabelling(instance):
     cfg, plan, draws, est, _, _ = instance
     R, L, N, K = est.estimates.shape
-    v = mmse_combiner(est, plan, cfg.noise_power_w)
+    v = mmse_combiner(est, plan)
     v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
     gains = v_h @ draws.true_channels.reshape(R, L * N, K)
     est_gains = v_h @ est.estimates.reshape(R, L * N, K)
-    z_v = est.z_matrices @ v
-    quad = np.sum(v.real * z_v.real + v.imag * z_v.imag, axis=(1, 2))
+    c_v = est.c_matrices @ v
+    quad = np.sum(v.real * c_v.real + v.imag * c_v.imag, axis=(1, 2))
     vnorm2 = np.sum(np.abs(v) ** 2, axis=(1, 2))
-    args = (cfg.noise_power_w, 0.9)
+    prelog = 0.9
 
     o = UE_ORDER
-    uatf, _ = uatf_se(gains, vnorm2, plan.powers_w, *args)
-    uatf_relabelled, _ = uatf_se(gains[:, o][:, :, o], vnorm2[:, o], plan.powers_w[o], *args)
-    cd = cd_se(est_gains, quad, vnorm2, plan.powers_w, *args)
-    cd_relabelled = cd_se(est_gains[:, o][:, :, o], quad[:, o], vnorm2[:, o],
-                          plan.powers_w[o], *args)
+    uatf, _ = uatf_se(gains, vnorm2, plan.powers_w, cfg.noise_power_w, prelog)
+    uatf_relabelled, _ = uatf_se(gains[:, o][:, :, o], vnorm2[:, o], plan.powers_w[o],
+                                 cfg.noise_power_w, prelog)
+    cd = cd_se(est_gains, quad, plan.powers_w, prelog)
+    cd_relabelled = cd_se(est_gains[:, o][:, :, o], quad[:, o], plan.powers_w[o], prelog)
     for got, want in ((uatf_relabelled, uatf), (cd_relabelled, cd)):
         assert_permuted(got.se, want.se[o])
         assert_permuted(got.ci, want.ci[o])

@@ -219,6 +219,12 @@ class TestPowerControl:
         with pytest.raises(ConfigError):
             power_control(np.array([[-np.inf]]), [np.array([0])], v=-1.0, p_max=0.1)
 
+    def test_all_zero_gains_with_positive_exponent_rejected(self):
+        # ln 0 - ln 0 would make every power NaN
+        gains = np.array([[-np.inf, -np.inf], [-np.inf, -np.inf]])
+        with np.errstate(all="raise"), pytest.raises(ConfigError, match="side_length_m"):
+            power_control(gains, [np.array([0, 1]), np.array([1])], v=1.0, p_max=0.1)
+
 
 class TestAreaConfigValidation:
     def test_rejects_bad_counts_and_powers(self):
