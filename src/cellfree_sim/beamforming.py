@@ -10,8 +10,11 @@ Three combiner families with increasing CSI centralization:
   matrices Pi_l and make the pair jointly optimal among all combiners that
   use only local instantaneous CSI.
 * ``MMSE``: the centralized optimum, solved on the cluster-restricted system
-  (blocks outside the serving cluster are identically zero) as one K x K
-  system per draw.
+  as one K x K system per draw, and returned on each UE's serving-cluster
+  rows only (the blocks outside the cluster are identically zero).
+
+The local matrices and the distributed combiners are (draws, L, N, K)
+arrays; the evaluation forms them `DRAW_BLOCK` draws at a time.
 
 Statistical quantities (Pi_l, LSFD moments) are Monte Carlo estimates over a
 dedicated draw budget, kept separate from the draws used for SE evaluation.
@@ -59,7 +62,7 @@ class LsfdMoments:
     denominator: tuple[np.ndarray, ...]   # D_k = sum_i p_i E g_ki g_ki^H + sigma^2 diag(E|v_lk|^2)
 
 
-def mmse_combiner(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
+def mmse_combiner(est: EstimateSet, plan: ServicePlan) -> list[np.ndarray]:
     """Centralized MMSE combiner, solved per UE on its serving cluster.
 
     With C_c = blockdiag(C_l) over the cluster, the push-through identity
@@ -67,34 +70,47 @@ def mmse_combiner(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
 
         v_k = sqrt(p_k) B_c y,  B_c = C_c^-1 H_c,  (I + P H_c^H B_c) y = e_k.
 
-    Like every combiner here it returns (draws, L, N, K) vectors whose blocks
-    outside each UE's serving cluster are exactly zero.
+    Returns one (draws, M_k, N) array per UE k: its combiner on the rows of
+    the M_k APs of its serving cluster, in cluster order. Outside the cluster
+    the combiner is exactly zero.
     """
     R, L, N, K = est.estimates.shape
     c_inv = np.linalg.inv(est.c_matrices)
     by_ap = est.estimates.transpose(1, 2, 0, 3)   # (L, N, R, K): one C_l^-1 product for all draws
     eye = np.eye(K)
-    vectors = np.zeros((R, L, N, K), dtype=complex)
+    rows = []
     for k, cluster in enumerate(plan.cluster_of_ue):
         Hc = by_ap[cluster]                                      # (M, N, R, K)
         Bc = (c_inv[cluster] @ Hc.reshape(len(cluster), N, -1)).reshape(-1, R, K).swapaxes(0, 1)
         gram = Hc.reshape(-1, R, K).swapaxes(0, 1).conj().swapaxes(1, 2) @ Bc
         y = np.sqrt(plan.powers_w[k]) * np.linalg.solve(eye + plan.powers_w[:, None] * gram, eye[k])
-        # mixed basic/advanced indexing puts the cluster axis first
-        vectors[:, cluster, :, k] = (Bc @ y[..., None]).reshape(R, -1, N).swapaxes(0, 1)
-    return vectors
+        rows.append((Bc @ y[..., None]).reshape(R, -1, N))
+    return rows
 
 
 def lmmse_local_matrices(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
     """Local MMSE matrices of every AP for a batch of draws, shape (draws, L, N, K).
 
-    Column k of the (N, K) matrix of AP l is the local combiner of UE k.
+    Column k of the (N, K) matrix of AP l is the local combiner of UE k. The
+    Gram matrices and the solves are formed DRAW_BLOCK draws at a time; each
+    solve acts on one matrix, so the bits do not depend on the block size.
     """
-    scaled = est.estimates * np.sqrt(plan.powers_w)
-    # one einsum loop: a batched matmul calls BLAS once per small (N, K) product
-    system = np.einsum("rlnk,rlmk->rlnm", scaled, scaled.conj())
-    system += est.c_matrices
-    return np.linalg.solve(system, scaled)
+    sqrt_p = np.sqrt(plan.powers_w)
+    local = np.empty(est.estimates.shape, dtype=complex)
+    for start in range(0, len(local), DRAW_BLOCK):
+        block = slice(start, start + DRAW_BLOCK)
+        scaled = est.estimates[block] * sqrt_p
+        # one einsum loop: a batched matmul calls BLAS once per small (N, K) product
+        system = np.einsum("rlnk,rlmk->rlnm", scaled, scaled.conj())
+        system += est.c_matrices
+        local[block] = np.linalg.solve(system, scaled)
+    return local
+
+
+def _estimated_chunk(estimator: PilotEstimator, gen: np.random.Generator, n_draws: int):
+    """`(draws, estimates)` of one chunk, drawn and estimated from `gen`."""
+    draws = sample_channels(estimator.stats, gen, n_draws)
+    return draws, estimator.estimate(draws, gen)
 
 
 def estimated_draws(estimator: PilotEstimator, total: int, stream):
@@ -102,12 +118,30 @@ def estimated_draws(estimator: PilotEstimator, total: int, stream):
 
     Chunk c takes its channels and its pilot noise from `substream(stream, c)`,
     so every draw depends only on its index, never on how work is scheduled.
+    The suspended generator holds no reference to the chunk it yielded, so
+    the caller's references are the chunk's only ones.
     """
     for c, start in enumerate(range(0, total, CHUNK)):
-        gen = substream(stream, c)
-        draws = sample_channels(estimator.stats, gen, min(CHUNK, total - start))
-        yield draws, estimator.estimate(draws, gen)
-        del draws   # the caller's references are the chunk's last ones
+        yield _estimated_chunk(estimator, substream(stream, c), min(CHUNK, total - start))
+
+
+def _add_pi_moments(pi_sum: np.ndarray, pi_sumsq: np.ndarray, estimates: np.ndarray,
+                    local: np.ndarray, sqrt_p: np.ndarray) -> None:
+    """Add one chunk's sums of the Pi cross terms and of their squared moduli.
+
+    cross[r, l, i, j] = sqrt(p_i) h_hat_li^H v_lj is formed DRAW_BLOCK draws at
+    a time into one preallocated block, so one cross block is alive at once.
+    """
+    R, L, _, K = estimates.shape
+    cross = np.empty((min(DRAW_BLOCK, R), L, K, K), dtype=complex)
+    for start in range(0, R, DRAW_BLOCK):
+        block = slice(start, start + DRAW_BLOCK)
+        scaled_h = (estimates[block].conj() * sqrt_p).swapaxes(-1, -2)
+        out = cross[:len(scaled_h)]
+        np.matmul(scaled_h, local[block], out=out)
+        pi_sum += out.sum(axis=0)
+        pi_sumsq += np.einsum("rlij,rlij->lij", out.real, out.real)
+        pi_sumsq += np.einsum("rlij,rlij->lij", out.imag, out.imag)
 
 
 def statistics_pass(estimator: PilotEstimator, mc: int, stream,
@@ -134,16 +168,6 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
 
     for draws, est in estimated_draws(estimator, mc, stream):
         local = lmmse_local_matrices(est, plan)
-
-        if need_pi:
-            # cross[r, l, i, j] = sqrt(p_i) h_hat_li^H v_lj, DRAW_BLOCK draws at a time
-            for start in range(0, len(local), DRAW_BLOCK):
-                block = slice(start, start + DRAW_BLOCK)
-                scaled_h = (est.estimates[block].conj() * sqrt_p).swapaxes(-1, -2)
-                cross = scaled_h @ local[block]
-                pi_sum += cross.sum(axis=0)
-                pi_sumsq += np.einsum("rlij,rlij->lij", cross.real, cross.real)
-                pi_sumsq += np.einsum("rlij,rlij->lij", cross.imag, cross.imag)
         if need_lsfd:
             for k in range(K):
                 cluster = clusters[k]
@@ -154,7 +178,10 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
                 per_ue = np.ascontiguousarray((gains * sqrt_p).transpose(2, 1, 0))  # (K, M, r)
                 d_sum[k] += (per_ue @ per_ue.conj().swapaxes(1, 2)).sum(axis=0)
                 d_sum[k].flat[::len(cluster) + 1] += sigma2 * (np.abs(v_k) ** 2).sum(axis=(0, 2))
-        del draws, est, local   # free this chunk before the next one is drawn
+        del draws   # Pi reads no true channels: free them before its cross blocks
+        if need_pi:
+            _add_pi_moments(pi_sum, pi_sumsq, est.estimates, local, sqrt_p)
+        del est, local   # free this chunk before the next one is drawn
 
     pi = None
     if need_pi:

@@ -268,9 +268,12 @@ def sample_channels(stats: ChannelStats, rng: np.random.Generator, n_draws: int)
     Each pair gets mean + F z with z standard complex normal, independent
     across pairs and draws.
     """
-    K, L, N = stats.los_mean.shape
-    z = rng.standard_normal((n_draws, K, L, N)) + 1j * rng.standard_normal((n_draws, K, L, N))
+    shape = (n_draws,) + stats.los_mean.shape
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
     z *= np.sqrt(0.5)
     channels = stats.cov_factor @ z.transpose(1, 2, 3, 0)    # (K, L, N, draws)
+    del z
     channels += stats.los_mean[..., None]
     return ChannelDraw(true_channels=np.ascontiguousarray(channels.transpose(3, 1, 2, 0)))

@@ -89,15 +89,21 @@ class PilotEstimator:
         tau_p = self.cfg.pilot_count
         sigma2 = self.cfg.noise_power_w
 
-        received = self._pilot_sums(H)
+        innovation = self._pilot_sums(H)
         noise_scale = np.sqrt(0.5 * sigma2 * tau_p)
         noise = noise_scale * (
             rng.standard_normal((R, tau_p, L, N)) + 1j * rng.standard_normal((R, tau_p, L, N))
         )
-        innovation = received + noise.transpose(0, 2, 3, 1) - self._mean_received
+        innovation += noise.transpose(0, 2, 3, 1)
+        innovation -= self._mean_received
+        del noise
 
-        per_ue = innovation[..., self.plan.pilot_of_ue]   # (R, L, N, K)
-        estimates = self.gain @ per_ue.transpose(3, 1, 2, 0)  # (K, L, N, R)
+        # one product per pilot: every UE on pilot t maps the same innovation
+        by_pilot = innovation.transpose(3, 1, 2, 0)         # (tau_p, L, N, R)
+        estimates = np.empty((len(self.gain), L, N, R), dtype=complex)
+        for t, on_t in enumerate(self._ues_on_pilot):
+            estimates[on_t] = self.gain[on_t] @ by_pilot[t]
+        del innovation, by_pilot
         estimates += self.stats.los_mean[..., None]
         estimates = np.ascontiguousarray(estimates.transpose(3, 1, 2, 0))
         return EstimateSet(estimates=estimates, c_matrices=self.c_matrices)

@@ -17,7 +17,7 @@ of the batch values scales the reported halfwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,25 +138,16 @@ def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet
     g[r, k, i] = v_k^H h_i on the true `channels` and on the estimates, the
     quadratic form v_k^H C v_k and ||v_k||^2, all over the L*N antennas.
 
-    They are formed DRAW_BLOCK draws at a time into preallocated outputs, so
-    the conjugate of `v` and C v never take a whole chunk of memory.
+    The evaluation calls it on one DRAW_BLOCK of draws at a time, so the
+    conjugate of `v` and C v never take a whole chunk of memory.
     """
     R, L, N, K = v.shape
-    gains = np.empty((R, K, K), dtype=complex)
-    est_gains = np.empty((R, K, K), dtype=complex)
-    quad = np.empty((R, K))
-    vnorm2 = np.empty((R, K))
-    H = channels.reshape(R, L * N, K)
-    H_hat = est.estimates.reshape(R, L * N, K)
-    for start in range(0, R, DRAW_BLOCK):
-        block = slice(start, start + DRAW_BLOCK)
-        v_b = v[block]
-        v_h = v_b.reshape(-1, L * N, K).conj().swapaxes(1, 2)
-        gains[block] = v_h @ H[block]
-        est_gains[block] = v_h @ H_hat[block]
-        c_v = est.c_matrices @ v_b                          # C_l v_lk per AP
-        quad[block] = np.sum(v_b.real * c_v.real + v_b.imag * c_v.imag, axis=(1, 2))
-        vnorm2[block] = np.sum(np.abs(v_b) ** 2, axis=(1, 2))
+    v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
+    gains = v_h @ channels.reshape(R, L * N, K)
+    est_gains = v_h @ est.estimates.reshape(R, L * N, K)
+    c_v = est.c_matrices @ v                            # C_l v_lk per AP
+    quad = np.sum(v.real * c_v.real + v.imag * c_v.imag, axis=(1, 2))
+    vnorm2 = np.sum(np.abs(v) ** 2, axis=(1, 2))
     return gains, est_gains, quad, vnorm2
 
 
@@ -193,25 +184,33 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
             stage2_full, flagged = stage2_all(pi, plan)
             regularized[Scheme.LTMMSE] = flagged
 
+    # The MMSE combiners of a chunk are held on their cluster rows; each block
+    # scatters them into this zeroed array, whose other entries stay zero.
+    K, L, N = stats.los_mean.shape
+    mmse_block = np.zeros((DRAW_BLOCK, L, N, K), dtype=complex)
     per_scheme: dict[Scheme, list[tuple[np.ndarray, ...]]] = {s: [] for s in schemes}
     eval_seq = subsequence(stream, ROLE_EVALUATION)
     for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
-        local = lmmse_local_matrices(est, plan) if need_local else None
-
-        for scheme in schemes:
-            if scheme is Scheme.MMSE:
-                v = mmse_combiner(est, plan)
-            elif scheme is Scheme.LMMSE_LSFD:
-                v = assemble_lmmse_lsfd(local, weights, plan)
-            else:
-                v = assemble_ltmmse(local, stage2_full)
-            per_scheme[scheme].append(_per_draw_terms(v, draws.true_channels, est))
-            del v   # free this combiner before the next scheme builds its own
-        del draws, est, local   # free this chunk before the next one is drawn
+        rows = mmse_combiner(est, plan) if Scheme.MMSE in schemes else None
+        for start in range(0, len(est.estimates), DRAW_BLOCK):
+            block = slice(start, start + DRAW_BLOCK)
+            est_block = replace(est, estimates=est.estimates[block])
+            local = lmmse_local_matrices(est_block, plan) if need_local else None
+            for scheme in schemes:
+                if scheme is Scheme.MMSE:
+                    v = mmse_block[:len(est_block.estimates)]
+                    for k, cluster in enumerate(plan.cluster_of_ue):
+                        v[:, :, :, k][:, cluster] = rows[k][block]
+                elif scheme is Scheme.LMMSE_LSFD:
+                    v = assemble_lmmse_lsfd(local, weights, plan)
+                else:
+                    v = assemble_ltmmse(local, stage2_full)
+                per_scheme[scheme].append(_per_draw_terms(v, draws.true_channels[block], est_block))
+        del draws, est, est_block, rows   # free this chunk before the next one is drawn
 
     reports = {}
-    for scheme, chunks in per_scheme.items():
-        gains, est_gains, quad, vnorm2 = (np.concatenate(field) for field in zip(*chunks))
+    for scheme, blocks in per_scheme.items():
+        gains, est_gains, quad, vnorm2 = (np.concatenate(field) for field in zip(*blocks))
         uatf, clamped = uatf_se(gains, vnorm2, plan.powers_w, sigma2, prelog)
         cd = cd_se(est_gains, quad, plan.powers_w, prelog)
         reports[scheme] = SeReport(

@@ -4,8 +4,15 @@
 same draw pipeline the engine uses; `mmse_cluster_solve` is the centralized
 MMSE combiner by the direct M N x M N solve that `beamforming.mmse_combiner`
 replaces with a K x K one; `wrapped_distance` is the scalar wrap-around
-distance that `scenario.deploy` computes for every pair at once. None is on
-the path of `run_experiment`, so all live with the tests.
+distance that `scenario.deploy` computes for every pair at once.
+
+The whole-chunk forms (`mmse_combiner_all_rows`, `sample_channels_whole_chunk`,
+`estimate_per_ue_innovation`, `lmmse_local_whole_chunk`) are the producers as
+they were before each was cut down to at most three chunk-sized arrays; the
+shipped ones must match them bit for bit. `densify` (and `dense_mmse_combiner`
+on top of it) turns the MMSE combiner's cluster rows back into one
+(draws, L, N, K) array. None is on the path of `run_experiment`, so all live
+with the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from cellfree_sim.beamforming import estimated_draws
+from cellfree_sim.beamforming import estimated_draws, mmse_combiner
+from cellfree_sim.channel import ChannelStats
 from cellfree_sim.errors import ConfigError
 from cellfree_sim.estimation import EstimateSet, PilotEstimator
 from cellfree_sim.scenario import ServicePlan
@@ -140,6 +148,76 @@ def mmse_cluster_solve(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
         solution = np.linalg.solve(system, rhs[..., None])[..., 0]
         vectors[:, cluster, :, k] = solution.reshape(R, M, N).transpose(1, 0, 2)
     return vectors
+
+
+def densify(rows: list[np.ndarray], plan: ServicePlan, ap_count: int) -> np.ndarray:
+    """(draws, L, N, K) combiners from per-UE (draws, M_k, N) cluster rows,
+    exactly zero outside each UE's serving cluster."""
+    R, _, N = rows[0].shape
+    dense = np.zeros((R, ap_count, N, len(rows)), dtype=complex)
+    for k, cluster in enumerate(plan.cluster_of_ue):
+        dense[:, :, :, k][:, cluster] = rows[k]
+    return dense
+
+
+def dense_mmse_combiner(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
+    """`mmse_combiner` as one (draws, L, N, K) array."""
+    return densify(mmse_combiner(est, plan), plan, est.estimates.shape[1])
+
+
+def mmse_combiner_all_rows(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
+    """The K x K push-through MMSE combiner written straight into a dense
+    (draws, L, N, K) array, zero outside each cluster."""
+    R, L, N, K = est.estimates.shape
+    c_inv = np.linalg.inv(est.c_matrices)
+    by_ap = est.estimates.transpose(1, 2, 0, 3)
+    eye = np.eye(K)
+    vectors = np.zeros((R, L, N, K), dtype=complex)
+    for k, cluster in enumerate(plan.cluster_of_ue):
+        Hc = by_ap[cluster]
+        Bc = (c_inv[cluster] @ Hc.reshape(len(cluster), N, -1)).reshape(-1, R, K).swapaxes(0, 1)
+        gram = Hc.reshape(-1, R, K).swapaxes(0, 1).conj().swapaxes(1, 2) @ Bc
+        y = np.sqrt(plan.powers_w[k]) * np.linalg.solve(eye + plan.powers_w[:, None] * gram, eye[k])
+        vectors[:, cluster, :, k] = (Bc @ y[..., None]).reshape(R, -1, N).swapaxes(0, 1)
+    return vectors
+
+
+def sample_channels_whole_chunk(stats: ChannelStats, rng: np.random.Generator,
+                                n_draws: int) -> np.ndarray:
+    """Channel draws (draws, L, N, K) from z = (a + 1j b) sqrt(1/2), both normal
+    arrays drawn whole and summed into a third."""
+    K, L, N = stats.los_mean.shape
+    z = rng.standard_normal((n_draws, K, L, N)) + 1j * rng.standard_normal((n_draws, K, L, N))
+    z *= np.sqrt(0.5)
+    channels = stats.cov_factor @ z.transpose(1, 2, 3, 0)
+    channels += stats.los_mean[..., None]
+    return np.ascontiguousarray(channels.transpose(3, 1, 2, 0))
+
+
+def estimate_per_ue_innovation(estimator: PilotEstimator, channels: np.ndarray,
+                               rng: np.random.Generator) -> np.ndarray:
+    """Estimates (draws, L, N, K) from a chunk-sized copy of each UE's pilot
+    innovation and one product over all UEs."""
+    R, L, N = channels.shape[:3]
+    tau_p = estimator.cfg.pilot_count
+    received = estimator._pilot_sums(channels)
+    noise = np.sqrt(0.5 * estimator.cfg.noise_power_w * tau_p) * (
+        rng.standard_normal((R, tau_p, L, N)) + 1j * rng.standard_normal((R, tau_p, L, N))
+    )
+    innovation = received + noise.transpose(0, 2, 3, 1) - estimator._mean_received
+    per_ue = innovation[..., estimator.plan.pilot_of_ue]
+    estimates = estimator.gain @ per_ue.transpose(3, 1, 2, 0)
+    estimates += estimator.stats.los_mean[..., None]
+    return np.ascontiguousarray(estimates.transpose(3, 1, 2, 0))
+
+
+def lmmse_local_whole_chunk(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
+    """Local MMSE matrices (draws, L, N, K) from one Gram and one solve over
+    the whole chunk."""
+    scaled = est.estimates * np.sqrt(plan.powers_w)
+    system = np.einsum("rlnk,rlmk->rlnm", scaled, scaled.conj())
+    system += est.c_matrices
+    return np.linalg.solve(system, scaled)
 
 
 def wrapped_distance(a, b, side: float, dh: float) -> float:

@@ -16,7 +16,6 @@ from cellfree_sim.beamforming import (
     Scheme,
     assemble_ltmmse,
     lmmse_local_matrices,
-    mmse_combiner,
     stage2_all,
     statistics_pass,
 )
@@ -33,7 +32,7 @@ from cellfree_sim.experiments import config_from_dict, run_experiment
 from cellfree_sim.scenario import AreaConfig, assign_pilots_and_clusters, deploy
 
 from conftest import build_instance
-from oracles import error_statistics_check
+from oracles import dense_mmse_combiner, error_statistics_check
 
 PASS = "ACCEPTANCE {}: PASS ({:.1f} s) - {}"
 
@@ -80,7 +79,7 @@ def test_criterion_1_pure_los_team_equals_centralized():
     draws = sample_channels(stats, gen, 1)
     estimator = PilotEstimator(stats, plan, cfg)
     est = estimator.estimate(draws, gen)
-    centralized = mmse_combiner(est, plan)
+    centralized = dense_mmse_combiner(est, plan)
 
     pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(2),
                             need_pi=True, need_lsfd=False)

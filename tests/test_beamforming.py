@@ -16,7 +16,6 @@ from cellfree_sim.beamforming import (
     lmmse_local_matrices,
     lsfd_weights,
     ltmmse_stage2,
-    mmse_combiner,
     stage2_all,
     statistics_pass,
 )
@@ -24,7 +23,7 @@ from cellfree_sim.channel import sample_channels
 from cellfree_sim.estimation import EstimateSet, PilotEstimator
 
 from conftest import build_instance, make_cfg, make_plan, make_stats
-from oracles import mmse_cluster_solve
+from oracles import dense_mmse_combiner, mmse_cluster_solve
 
 
 # sha256 of the MMSE combiners of 16 draws on a network whose every cluster
@@ -32,14 +31,15 @@ from oracles import mmse_cluster_solve
 # M N x M N LU factorization, and so to change its bits with the thread count.
 BLAS_THREAD_CHILD = """
 import hashlib
-from cellfree_sim.beamforming import estimated_draws, mmse_combiner
+from cellfree_sim.beamforming import estimated_draws
 from cellfree_sim.estimation import PilotEstimator
 from conftest import build_instance
+from oracles import dense_mmse_combiner
 
 cfg, plan, stats = build_instance(5, L=25, K=2, N=4, tau_p=2, side=400.0)
 assert all(len(cluster) == 25 for cluster in plan.cluster_of_ue)
 (_, est), = estimated_draws(PilotEstimator(stats, plan, cfg), 16, 9)
-print(hashlib.sha256(mmse_combiner(est, plan).tobytes()).hexdigest())
+print(hashlib.sha256(dense_mmse_combiner(est, plan).tobytes()).hexdigest())
 """
 
 
@@ -95,7 +95,7 @@ class TestMmseCombiner:
         # the conjugation happens at application time
         est = synthetic_estimates(rng, R=16, L=1, N=1, K=1, sigma2=0.3)
         plan = make_plan([0], [[0]], powers=[1.0])
-        v = mmse_combiner(est, plan)
+        v = dense_mmse_combiner(est, plan)
         h = est.estimates[:, 0, 0, 0]
         expected = h / (np.abs(h) ** 2 + 0.3)
         np.testing.assert_allclose(v[:, 0, 0, 0], expected, rtol=1e-12)
@@ -106,7 +106,7 @@ class TestMmseCombiner:
     def test_support_confined_to_cluster(self, rng):
         est = synthetic_estimates(rng, R=4, L=4, N=2, K=3, err_scale=0.1, sigma2=0.2)
         plan = make_plan([0, 0, 0], [[0, 2], [1], [2, 3]])
-        v = mmse_combiner(est, plan)
+        v = dense_mmse_combiner(est, plan)
         assert np.all(v[:, [1, 3], :, 0] == 0)
         assert np.all(v[:, [0, 2, 3], :, 1] == 0)
         assert np.all(v[:, [0, 1], :, 2] == 0)
@@ -118,7 +118,7 @@ class TestMmseCombiner:
         est = synthetic_estimates(rng, R=6, L=3, N=2, K=4, err_scale=0.15, sigma2=0.4)
         powers = np.array([1.0, 0.5, 0.8, 1.2])
         plan = make_plan([0, 0, 1, 1], [[0, 1], [1, 2], [0, 1, 2], [2]], powers=powers)
-        v = mmse_combiner(est, plan)
+        v = dense_mmse_combiner(est, plan)
         base = detection_mse(v, est, powers)
         for trial in range(100):
             noise = np.random.default_rng(trial).standard_normal(v.shape) * 1e-3
@@ -151,7 +151,7 @@ class TestMmseCombiner:
         c = x @ x.conj().swapaxes(1, 2) / N + 0.3 * np.eye(N)
         est = EstimateSet(estimates=synthetic_estimates(rng, R, L, N, K).estimates, c_matrices=c)
         plan = make_plan(np.zeros(K, dtype=int), clusters, powers=powers)
-        v = mmse_combiner(est, plan)
+        v = dense_mmse_combiner(est, plan)
         reference = mmse_cluster_solve(est, plan)
         deviation = np.linalg.norm(v - reference, axis=(1, 2))          # (R, K)
         assert np.all(deviation <= 1e-12 * np.linalg.norm(reference, axis=(1, 2)))
@@ -182,7 +182,7 @@ class TestLocalMatrix:
         est = synthetic_estimates(rng, R=5, L=1, N=2, K=3, err_scale=0.3, sigma2=0.25)
         plan = make_plan([0, 0, 0], [[0], [0], [0]])
         V = lmmse_local_matrices(est, plan)
-        v = mmse_combiner(est, plan)
+        v = dense_mmse_combiner(est, plan)
         np.testing.assert_allclose(v[:, 0], V[:, 0], rtol=1e-10)
 
 
@@ -459,7 +459,7 @@ class TestSchemeEquivalences:
         draws = sample_channels(stats, np.random.default_rng(1), 1)
         estimator = PilotEstimator(stats, plan, cfg)
         est = estimator.estimate(draws, np.random.default_rng(2))
-        centralized = mmse_combiner(est, plan)
+        centralized = dense_mmse_combiner(est, plan)
 
         pi, _ = statistics_pass(estimator, 2, np.random.SeedSequence(4),
                                 need_pi=True, need_lsfd=False)
@@ -483,7 +483,7 @@ class TestSchemeEquivalences:
         powers = plan.powers_w
         local = lmmse_local_matrices(est, plan)
 
-        centralized = mmse_combiner(est, plan)
+        centralized = dense_mmse_combiner(est, plan)
         stage2, _ = stage2_all(empirical_pi(est, local, powers), plan)
         team = assemble_ltmmse(local, stage2)
         moments = empirical_lsfd_moments(est, local, draws.true_channels, plan, sigma2)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellfree_sim import beamforming
+from cellfree_sim import beamforming, evaluation
 from cellfree_sim.beamforming import (
     CHUNK,
     DRAW_BLOCK,
@@ -26,10 +26,10 @@ from cellfree_sim.beamforming import (
     stage2_all,
     statistics_pass,
 )
+from cellfree_sim.channel import sample_channels
 from cellfree_sim.errors import ConfigError
 from cellfree_sim.estimation import PilotEstimator
 from cellfree_sim.evaluation import (
-    _per_draw_terms,
     _uatf_from_moments,
     cd_se,
     evaluate_schemes,
@@ -38,6 +38,14 @@ from cellfree_sim.evaluation import (
 from cellfree_sim.rng import ROLE_EVALUATION, ROLE_STATISTICS, subsequence
 
 from conftest import build_instance
+from oracles import (
+    dense_mmse_combiner,
+    densify,
+    estimate_per_ue_innovation,
+    lmmse_local_whole_chunk,
+    mmse_combiner_all_rows,
+    sample_channels_whole_chunk,
+)
 
 # CPU seconds that threads other than the caller spend on one desk-scale
 # evaluation (36 APs, 16 UEs, N=2, 4 pilots). Run in a fresh interpreter, so
@@ -286,7 +294,7 @@ class TestEngine:
         for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
             local = lmmse_local_matrices(est, plan)
             combiners = {
-                Scheme.MMSE: mmse_combiner(est, plan),
+                Scheme.MMSE: dense_mmse_combiner(est, plan),
                 Scheme.LMMSE_LSFD: assemble_lmmse_lsfd(local, weights, plan),
                 Scheme.LTMMSE: assemble_ltmmse(local, stage2),
             }
@@ -350,25 +358,76 @@ class TestDrawBlocks:
     match the whole-chunk expressions bit for bit, and memory stays a few
     chunk-sized arrays."""
 
-    def test_per_draw_terms_equal_whole_chunk_products(self):
-        # CHUNK - 5 draws end in a partial block
-        cfg, plan, stats = build_instance(3)
+    @staticmethod
+    def oracle_case(case):
+        """A small instance with a partial last block, a zero-power UE or an unused pilot."""
+        if case == "unused_pilot":
+            cfg, plan, stats = build_instance(3, K=3, tau_p=5)
+            assert np.unique(plan.pilot_of_ue).size < cfg.pilot_count
+        else:
+            cfg, plan, stats = build_instance(3)
+        if case == "zero_power_ue":
+            plan = dataclasses.replace(plan, powers_w=plan.powers_w * [1.0, 0.0, 1.0, 1.0])
+        return cfg, plan, stats
+
+    @pytest.mark.parametrize("case", ["partial_block", "zero_power_ue", "unused_pilot"])
+    def test_producers_equal_whole_chunk_oracles(self, case):
+        cfg, plan, stats = self.oracle_case(case)
+        n = CHUNK - 5
+        assert n % DRAW_BLOCK != 0
+        draws = sample_channels(stats, np.random.default_rng(5), n)
+        channels = draws.true_channels
+        assert np.array_equal(channels,
+                              sample_channels_whole_chunk(stats, np.random.default_rng(5), n))
         estimator = PilotEstimator(stats, plan, cfg)
-        (draws, est), = estimated_draws(estimator, CHUNK - 5, 17)
-        assert (CHUNK - 5) % DRAW_BLOCK != 0
-        local = lmmse_local_matrices(est, plan)
-        pi, _ = statistics_pass(estimator, 20, 23, need_pi=True, need_lsfd=False)
-        stage2, _ = stage2_all(pi, plan)
-        for v in (mmse_combiner(est, plan), assemble_ltmmse(local, stage2)):
-            R, L, N, K = v.shape
-            v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
-            c_v = est.c_matrices @ v
-            expected = (v_h @ draws.true_channels.reshape(R, L * N, K),
-                        v_h @ est.estimates.reshape(R, L * N, K),
-                        np.sum(v.real * c_v.real + v.imag * c_v.imag, axis=(1, 2)),
-                        np.sum(np.abs(v) ** 2, axis=(1, 2)))
-            for got, want in zip(_per_draw_terms(v, draws.true_channels, est), expected):
-                assert np.array_equal(got, want)
+        est = estimator.estimate(draws, np.random.default_rng(6))
+        assert np.array_equal(est.estimates, estimate_per_ue_innovation(
+            estimator, channels, np.random.default_rng(6)))
+        assert np.array_equal(lmmse_local_matrices(est, plan), lmmse_local_whole_chunk(est, plan))
+        rows = mmse_combiner(est, plan)
+        N = cfg.antennas_per_ap
+        assert [r.shape for r in rows] == [(n, len(c), N) for c in plan.cluster_of_ue]
+        assert np.array_equal(densify(rows, plan, cfg.ap_count), mmse_combiner_all_rows(est, plan))
+
+    def test_per_draw_terms_equal_whole_chunk_products(self, monkeypatch):
+        # the evaluation forms every scheme's terms block by block, from block
+        # local matrices and scattered MMSE rows; CHUNK - 5 draws end in a
+        # partial block
+        recorded = []
+
+        def record(bound):
+            def recording(*args):
+                recorded.append(args[:2])
+                return bound(*args)
+            return recording
+
+        monkeypatch.setattr(evaluation, "uatf_se", record(evaluation.uatf_se))
+        monkeypatch.setattr(evaluation, "cd_se", record(evaluation.cd_se))
+        for case in ("partial_block", "zero_power_ue", "unused_pilot"):
+            cfg, plan, stats = self.oracle_case(case)
+            stat_draws, eval_draws, stream = 20, CHUNK - 5, 17
+            recorded.clear()
+            evaluate_schemes(stats, plan, cfg, list(Scheme), stat_draws, eval_draws, stream)
+
+            estimator = PilotEstimator(stats, plan, cfg)
+            pi, lsfd = statistics_pass(estimator, stat_draws, subsequence(stream, ROLE_STATISTICS),
+                                       need_pi=True, need_lsfd=True)
+            (draws, est), = estimated_draws(estimator, eval_draws,
+                                            subsequence(stream, ROLE_EVALUATION))
+            local = lmmse_local_whole_chunk(est, plan)
+            combiners = (mmse_combiner_all_rows(est, plan),
+                         assemble_lmmse_lsfd(local, lsfd_weights(lsfd)[0], plan),
+                         assemble_ltmmse(local, stage2_all(pi, plan)[0]))
+            for s, v in enumerate(combiners):
+                R, L, N, K = v.shape
+                v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
+                c_v = est.c_matrices @ v
+                (gains, vnorm2), (est_gains, quad) = recorded[2 * s], recorded[2 * s + 1]
+                assert np.array_equal(gains, v_h @ draws.true_channels.reshape(R, L * N, K))
+                assert np.array_equal(est_gains, v_h @ est.estimates.reshape(R, L * N, K))
+                assert np.array_equal(quad, np.sum(v.real * c_v.real + v.imag * c_v.imag,
+                                                   axis=(1, 2)))
+                assert np.array_equal(vnorm2, np.sum(np.abs(v) ** 2, axis=(1, 2)))
 
     def test_pi_moments_equal_whole_chunk_scaled_estimates(self):
         cfg, plan, stats = build_instance(3)
@@ -395,22 +454,73 @@ class TestDrawBlocks:
     # Desk instance (36 APs, 16 UEs, N=2); peaks in units of one (CHUNK, L, N, K)
     # complex array. Forming whole-chunk temporaries read 8.1 and 5.7 units;
     # over three chunks, holding the previous chunk while the next one is
-    # drawn read 9.8 and 8.6.
+    # drawn read 9.8 and 8.6. Whole-chunk local matrices and combiners in the
+    # evaluation, a dense MMSE combiner and whole-chunk copies in the
+    # producers read 6.3 (all three schemes) and 4.9.
     DESK = dict(L=36, K=16, N=2, tau_p=4, side=1000.0)
     UNIT = CHUNK * 36 * 2 * 16 * np.dtype(complex).itemsize
 
     def test_evaluation_peak_memory(self):
         cfg, plan, stats = build_instance(3, **self.DESK)
         peak = traced_peak(lambda: evaluate_schemes(
-            stats, plan, cfg, [Scheme.LMMSE_LSFD, Scheme.LTMMSE], CHUNK, CHUNK, 7))
-        assert peak / self.UNIT <= 6.5
+            stats, plan, cfg, list(Scheme), CHUNK, CHUNK, 7))
+        assert peak / self.UNIT <= 5.0
 
     def test_statistics_pass_peak_memory(self):
         cfg, plan, stats = build_instance(3, **self.DESK)
         estimator = PilotEstimator(stats, plan, cfg)
         peak = traced_peak(lambda: statistics_pass(
             estimator, CHUNK, subsequence(7, ROLE_STATISTICS), need_pi=True, need_lsfd=True))
-        assert peak / self.UNIT <= 5.3
+        assert peak / self.UNIT <= 4.5
+
+    # Reference instance (100 APs, 40 UEs, N=4, 5 pilots) on 100+100 draws, so
+    # one chunk of 100 draws; peaks in units of one (100, 100, 4, 40) complex
+    # array. Before every pass held at most three chunk-sized arrays they read
+    # 5.3 and 4.8.
+    REF = dict(L=100, K=40, N=4, tau_p=5, side=1000.0)
+    REF_UNIT = 100 * 100 * 4 * 40 * np.dtype(complex).itemsize
+
+    def test_reference_evaluation_peak_memory(self):
+        cfg, plan, stats = build_instance(3, **self.REF)
+        peak = traced_peak(lambda: evaluate_schemes(
+            stats, plan, cfg, list(Scheme), 100, 100, 7))
+        assert peak / self.REF_UNIT <= 4.0
+
+    def test_reference_statistics_pass_peak_memory(self):
+        cfg, plan, stats = build_instance(3, **self.REF)
+        estimator = PilotEstimator(stats, plan, cfg)
+        peak = traced_peak(lambda: statistics_pass(
+            estimator, 100, subsequence(7, ROLE_STATISTICS), need_pi=True, need_lsfd=True))
+        assert peak / self.REF_UNIT <= 3.8
+
+    def test_channels_are_dropped_before_pi(self, monkeypatch):
+        # the suspended generator holds no reference to the chunk it yielded,
+        # and the statistics pass drops the chunk's true channels before it
+        # forms its first Pi cross block
+        cfg, plan, stats = build_instance(3)
+        estimator = PilotEstimator(stats, plan, cfg)
+        chunks = estimated_draws(estimator, 2 * CHUNK, 5)
+        draws, est = next(chunks)
+        suspended = weakref.ref(draws)
+        del draws
+        assert suspended() is None
+
+        drawn, alive_at_pi = [], []
+        sample, add_pi = beamforming.sample_channels, beamforming._add_pi_moments
+
+        def recorded_sample(*args):
+            draws = sample(*args)
+            drawn.append(weakref.ref(draws))
+            return draws
+
+        def checked_add_pi(*args):
+            alive_at_pi.append(drawn[-1]() is not None)
+            return add_pi(*args)
+
+        monkeypatch.setattr(beamforming, "sample_channels", recorded_sample)
+        monkeypatch.setattr(beamforming, "_add_pi_moments", checked_add_pi)
+        statistics_pass(estimator, 2 * CHUNK, 5, need_pi=True, need_lsfd=True)
+        assert alive_at_pi == [False, False]
 
     def test_chunk_is_freed_before_the_next_one_is_drawn(self, monkeypatch):
         cfg, plan, stats = build_instance(3)
@@ -433,11 +543,11 @@ class TestDrawBlocks:
         cfg, plan, stats = build_instance(3, **self.DESK)
         peak = traced_peak(lambda: evaluate_schemes(
             stats, plan, cfg, [Scheme.LMMSE_LSFD, Scheme.LTMMSE], 3 * CHUNK, 3 * CHUNK, 7))
-        assert peak / self.UNIT <= 8.5
+        assert peak / self.UNIT <= 6.5
 
     def test_statistics_pass_frees_each_chunk(self):
         cfg, plan, stats = build_instance(3, **self.DESK)
         estimator = PilotEstimator(stats, plan, cfg)
         peak = traced_peak(lambda: statistics_pass(
             estimator, 3 * CHUNK, subsequence(7, ROLE_STATISTICS), need_pi=True, need_lsfd=True))
-        assert peak / self.UNIT <= 6.1
+        assert peak / self.UNIT <= 4.5

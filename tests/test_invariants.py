@@ -17,7 +17,6 @@ from cellfree_sim.beamforming import (
     estimated_draws,
     lmmse_local_matrices,
     lsfd_weights,
-    mmse_combiner,
     stage2_all,
     statistics_pass,
 )
@@ -31,6 +30,7 @@ from cellfree_sim.experiments import (
 )
 
 from conftest import build_instance
+from oracles import dense_mmse_combiner
 
 
 def scaled_results(tmp_path, experiment, c):
@@ -96,7 +96,8 @@ def instance():
     return cfg, plan, draws, est, pi, moments
 
 
-@pytest.mark.parametrize("combiner", [mmse_combiner, lmmse_local_matrices])
+@pytest.mark.parametrize("combiner", [pytest.param(dense_mmse_combiner, id="mmse_combiner"),
+                                      lmmse_local_matrices])
 def test_combiners_follow_ue_relabelling(instance, combiner):
     _, plan, _, est, _, _ = instance
     relabelled = EstimateSet(estimates=est.estimates[..., UE_ORDER], c_matrices=est.c_matrices)
@@ -104,7 +105,8 @@ def test_combiners_follow_ue_relabelling(instance, combiner):
                     combiner(est, plan)[..., UE_ORDER])
 
 
-@pytest.mark.parametrize("combiner", [mmse_combiner, lmmse_local_matrices])
+@pytest.mark.parametrize("combiner", [pytest.param(dense_mmse_combiner, id="mmse_combiner"),
+                                      lmmse_local_matrices])
 def test_combiners_follow_ap_relabelling(instance, combiner):
     _, plan, _, est, _, _ = instance
     relabelled = EstimateSet(estimates=est.estimates[:, AP_ORDER],
@@ -138,7 +140,7 @@ def test_lsfd_weights_follow_ue_relabelling(instance):
 def test_bounds_follow_ue_relabelling(instance):
     cfg, plan, draws, est, _, _ = instance
     R, L, N, K = est.estimates.shape
-    v = mmse_combiner(est, plan)
+    v = dense_mmse_combiner(est, plan)
     v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
     gains = v_h @ draws.true_channels.reshape(R, L * N, K)
     est_gains = v_h @ est.estimates.reshape(R, L * N, K)
