@@ -10,14 +10,15 @@ over channel and noise realizations at fixed LoS phases:
   rate is the average of per-draw log terms with an estimation-error penalty.
 
 Both bounds carry the pilot-overhead prelog (tau_c - tau_p) / tau_c.
-Confidence intervals come from batch means: draws are split into fixed
-batches by draw index, the statistic is recomputed per batch, and the spread
-of the batch values scales the reported halfwidth.
+Confidence intervals come from batch means: one table per scheme sums the
+per-draw terms over fixed batches of draws and over all draws, each bound is
+a function of its rows, and the spread of its batch values scales the halfwidth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,18 +62,41 @@ class SeReport:
     regularized_ues: tuple[int, ...] = ()
 
 
-def _batch_ci(se_of, *per_draw: np.ndarray) -> np.ndarray:
-    """95% halfwidth by batch means: `se_of(*batch)` on each of B = min(N_BATCHES, R)
-    batches of the per-draw arrays, where draw r falls in batch floor(r B / R).
-    The spread over batches needs R >= 2."""
-    R = len(per_draw[0])
-    if R < 2:
+class BatchSums(NamedTuple):
+    """One scheme's per-draw terms by batch (Law, *Simulation Modeling and
+    Analysis*): of R draws, row b < B = min(N_BATCHES, R) sums those with
+    floor(r B / R) = b and row B all R, each added draw by draw in draw order."""
+
+    count: np.ndarray       # (B + 1,) draws
+    own: np.ndarray         # (B + 1, K) g_kk on the true channels
+    abs2: np.ndarray        # (B + 1, K, K) |g_ki|^2 on the true channels
+    vnorm2: np.ndarray      # (B + 1, K) ||v_k||^2
+    log_term: np.ndarray    # (B + 1, K) the CD log2(1 + SINR)
+
+    @classmethod
+    def zeros(cls, R: int, K: int) -> BatchSums:
+        rows = min(N_BATCHES, R) + 1
+        return cls(np.zeros(rows), np.zeros((rows, K), dtype=complex), np.zeros((rows, K, K)),
+                   np.zeros((rows, K)), np.zeros((rows, K)))
+
+    def add(self, first: int, R: int, *terms: np.ndarray) -> None:
+        """Add the per-draw terms (own, abs2, vnorm2, log_term) of draws first, ... of R."""
+        r = np.arange(first, first + len(terms[0]))
+        B = len(self.count) - 1
+        rows = np.stack([r * B // R, np.full(len(r), B)], axis=1)
+        for sums, term in zip(self, (np.ones(len(r)), *terms)):
+            np.add.at(sums, rows, term[:, None])
+
+
+def _batch_ci(per_batch: np.ndarray) -> np.ndarray:
+    """95% halfwidth by batch means from a statistic's B per-batch values (rows)."""
+    return 1.96 * np.std(per_batch, axis=0, ddof=1) / np.sqrt(len(per_batch))
+
+
+def _require_two_draws(sums: BatchSums) -> None:
+    """The batch-means CI needs at least 2 draws in the table."""
+    if sums.count[-1] < 2:
         raise ConfigError("SE evaluation needs at least 2 draws")
-    B = min(N_BATCHES, R)
-    batch = np.arange(R) * B // R
-    # masked copies, not slices: a batch then sums in one order whatever the input layout
-    se_batches = np.array([se_of(*(a[batch == b] for a in per_draw)) for b in range(B)])
-    return 1.96 * np.std(se_batches, axis=0, ddof=1) / np.sqrt(B)
 
 
 def _log_sinr(signal: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -81,62 +105,44 @@ def _log_sinr(signal: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + np.where(positive, signal / np.where(positive, denom, 1.0), 0.0))
 
 
-def _uatf_from_moments(own, abs2, vnorm2, powers, sigma2, prelog):
-    """UatF SE from per-draw own gains g_kk, |g_ki|^2 and ||v_k||^2, whose
-    sample means replace the expectations; returns (se, clamped)."""
-    signal = powers * np.abs(own.mean(axis=0)) ** 2             # p_k |E g_kk|^2
-    interference = abs2.mean(axis=0) @ powers                   # sum_i p_i E |g_ki|^2
-    fluctuation = interference - signal
-    denom = np.maximum(fluctuation, 0.0) + sigma2 * vnorm2.mean(axis=0)
-    return prelog * _log_sinr(signal, denom), fluctuation < 0.0
-
-
-def uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: float,
+def uatf_se(sums: BatchSums, powers: np.ndarray, sigma2: float,
             prelog: float) -> tuple[BoundEstimate, tuple[int, ...]]:
-    """UatF bound from per-draw combined TRUE channel gains.
+    """UatF bound from the table's combined TRUE channel gains g_ki (UE i through
+    UE k's combiner) and combiner norms, each row's sample means in place of the
+    expectations: the total row gives the SE, the batch rows the CI.
 
-    `gains[r, k, i]` is the combined channel of UE i through UE k's combiner,
-    `vnorm2[r, k]` the squared combiner norm. Sample means replace the
-    expectations. Both moments come from the same draws, so the fluctuation
-    interference - signal = p_k (mean|g_kk|^2 - |mean g_kk|^2)
-    + sum_{i != k} p_i mean|g_ki|^2 is >= 0 by Jensen's inequality; only
-    rounding can make it negative (a UE whose own gain is constant across
-    draws). It is then clamped at zero and the UE is flagged: the second
-    return value holds the clamped UEs.
+    Both moments come from the same draws, so the fluctuation interference -
+    signal = p_k (mean|g_kk|^2 - |mean g_kk|^2) + sum_{i != k} p_i mean|g_ki|^2
+    is >= 0 by Jensen's inequality; only rounding can make it negative (a UE
+    whose own gain is constant across draws). It is then clamped at zero and
+    the UE is flagged: the second return value holds the UEs clamped on the
+    total row.
     """
-    K = gains.shape[1]
-    per_draw = (gains[:, np.arange(K), np.arange(K)], np.abs(gains) ** 2, vnorm2)
-    ci = _batch_ci(lambda *batch: _uatf_from_moments(*batch, powers, sigma2, prelog)[0],
-                   *per_draw)
-    se, clamped = _uatf_from_moments(*per_draw, powers, sigma2, prelog)
-    return BoundEstimate(se=se, ci=ci), tuple(np.flatnonzero(clamped).tolist())
+    _require_two_draws(sums)
+    count = sums.count[:, None]
+    signal = powers * np.abs(sums.own / count) ** 2                  # p_k |E g_kk|^2
+    interference = (sums.abs2 / count[..., None]) @ powers          # sum_i p_i E |g_ki|^2
+    fluctuation = interference - signal
+    denom = np.maximum(fluctuation, 0.0) + sigma2 * (sums.vnorm2 / count)
+    se = prelog * _log_sinr(signal, denom)
+    return (BoundEstimate(se=se[-1], ci=_batch_ci(se[:-1])),
+            tuple(np.flatnonzero(fluctuation[-1] < 0.0).tolist()))
 
 
-def cd_se(est_gains: np.ndarray, noise_quad: np.ndarray, powers: np.ndarray,
-          prelog: float) -> BoundEstimate:
-    """Coherent-decoding bound from per-draw ESTIMATED channel gains.
-
-    `est_gains[r, k, i]` is the combined estimated channel, `noise_quad[r, k]`
-    the noise-plus-error quadratic form v^H C v on the serving cluster. The
-    per-draw log terms are averaged; expectations stay inside the log.
-    """
-    K = est_gains.shape[1]
-    own = np.abs(est_gains[:, np.arange(K), np.arange(K)]) ** 2
-    total = (np.abs(est_gains) ** 2) @ powers
-    denom = np.maximum(total - powers * own, 0.0) + noise_quad
-    log_terms = _log_sinr(powers * own, denom)
-
-    def se_of(terms):
-        return prelog * terms.mean(axis=0)
-
-    return BoundEstimate(se=se_of(log_terms), ci=_batch_ci(se_of, log_terms))
+def cd_se(sums: BatchSums, prelog: float) -> BoundEstimate:
+    """Coherent-decoding bound from the table's per-draw log terms: each row's
+    mean log term, so expectations stay inside the log."""
+    _require_two_draws(sums)
+    se = prelog * (sums.log_term / sums.count[:, None])
+    return BoundEstimate(se=se[-1], ci=_batch_ci(se[:-1]))
 
 
-def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet
-                    ) -> tuple[np.ndarray, ...]:
-    """Per-draw terms of one scheme's (draws, L, N, K) combiners `v`: gains
-    g[r, k, i] = v_k^H h_i on the true `channels` and on the estimates, the
-    quadratic form v_k^H C v_k and ||v_k||^2, all over the L*N antennas.
+def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet,
+                    powers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-draw table terms of one scheme's (draws, L, N, K) combiners `v`, over
+    the L*N antennas: g_kk and |g_ki|^2 of the gains g[r, k, i] = v_k^H h_i on
+    the true `channels`, ||v_k||^2, and the CD log2(1 + SINR) from the gains on
+    the estimates and the noise-plus-error quadratic form v_k^H C v_k.
 
     The evaluation calls it on one DRAW_BLOCK of draws at a time, so the
     conjugate of `v` and C v never take a whole chunk of memory.
@@ -147,8 +153,10 @@ def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet
     est_gains = v_h @ est.estimates.reshape(R, L * N, K)
     c_v = est.c_matrices @ v                            # C_l v_lk per AP
     quad = np.sum(v.real * c_v.real + v.imag * c_v.imag, axis=(1, 2))
-    vnorm2 = np.sum(np.abs(v) ** 2, axis=(1, 2))
-    return gains, est_gains, quad, vnorm2
+    est_own = np.abs(np.diagonal(est_gains, axis1=1, axis2=2)) ** 2
+    denom = np.maximum((np.abs(est_gains) ** 2) @ powers - powers * est_own, 0.0) + quad
+    return (np.diagonal(gains, axis1=1, axis2=2), np.abs(gains) ** 2,
+            np.sum(np.abs(v) ** 2, axis=(1, 2)), _log_sinr(powers * est_own, denom))
 
 
 def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
@@ -157,14 +165,15 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     """Run the full pipeline for several schemes on shared draws.
 
     `stat_draws` feed the LSFD weights and the stage-two coupling matrices;
-    `eval_draws` feed the SE estimates and need 2 draws (`_batch_ci`); the
-    config requires both budgets to be at least 2. Streams keyed by (role,
+    `eval_draws` feed the SE estimates and need 2 draws (the batch spread);
+    the config requires both budgets to be at least 2. Streams keyed by (role,
     chunk index) make results reproducible for any worker layout and give
     all schemes identical draws (paired comparison), from one `PilotEstimator`.
     """
+    if eval_draws < 2:
+        raise ConfigError("SE evaluation needs at least 2 draws")
     schemes = [Scheme(s) for s in schemes]
     prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
-    sigma2 = cfg.noise_power_w
 
     need_lsfd = Scheme.LMMSE_LSFD in schemes
     need_pi = Scheme.LTMMSE in schemes
@@ -188,7 +197,8 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     # scatters them into this zeroed array, whose other entries stay zero.
     K, L, N = stats.los_mean.shape
     mmse_block = np.zeros((DRAW_BLOCK, L, N, K), dtype=complex)
-    per_scheme: dict[Scheme, list[tuple[np.ndarray, ...]]] = {s: [] for s in schemes}
+    tables = {s: BatchSums.zeros(eval_draws, K) for s in schemes}
+    done = 0
     eval_seq = subsequence(stream, ROLE_EVALUATION)
     for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
         rows = mmse_combiner(est, plan) if Scheme.MMSE in schemes else None
@@ -205,18 +215,14 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
                     v = assemble_lmmse_lsfd(local, weights, plan)
                 else:
                     v = assemble_ltmmse(local, stage2_full)
-                per_scheme[scheme].append(_per_draw_terms(v, draws.true_channels[block], est_block))
+                tables[scheme].add(done + start, eval_draws, *_per_draw_terms(
+                    v, draws.true_channels[block], est_block, plan.powers_w))
+        done += len(est.estimates)
         del draws, est, est_block, rows   # free this chunk before the next one is drawn
 
     reports = {}
-    for scheme, blocks in per_scheme.items():
-        gains, est_gains, quad, vnorm2 = (np.concatenate(field) for field in zip(*blocks))
-        uatf, clamped = uatf_se(gains, vnorm2, plan.powers_w, sigma2, prelog)
-        cd = cd_se(est_gains, quad, plan.powers_w, prelog)
-        reports[scheme] = SeReport(
-            uatf=uatf,
-            cd=cd,
-            clamped_ues=clamped,
-            regularized_ues=regularized[scheme],
-        )
+    for scheme, sums in tables.items():
+        uatf, clamped = uatf_se(sums, plan.powers_w, cfg.noise_power_w, prelog)
+        reports[scheme] = SeReport(uatf=uatf, cd=cd_se(sums, prelog), clamped_ues=clamped,
+                                   regularized_ues=regularized[scheme])
     return reports

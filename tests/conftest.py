@@ -1,9 +1,11 @@
-"""Shared builders for synthetic channel states and small network instances."""
+"""Shared builders for synthetic channel states, small network instances and
+the evaluation's batch tables."""
 
 import numpy as np
 import pytest
 
 from cellfree_sim.channel import ChannelStats, _psd_factor
+from cellfree_sim.evaluation import BatchSums
 from cellfree_sim.scenario import AreaConfig, ServicePlan
 
 
@@ -68,6 +70,15 @@ def build_instance(seed, kappa_override=None, L=6, K=4, N=2, tau_p=2, side=400.0
     stats = build_channel_stats(dep, cfg, np.random.default_rng(seed + 1000),
                                 [kappa_override])[0]
     return cfg, plan, stats
+
+
+def batch_sums(gains, vnorm2, log_term):
+    """The batch table of all R draws' gains `gains[r, k, i]`, combiner norms
+    `vnorm2[r, k]` and CD log terms `log_term[r, k]`, added in one call."""
+    R, K, _ = gains.shape
+    sums = BatchSums.zeros(R, K)
+    sums.add(0, R, np.diagonal(gains, axis1=1, axis2=2), np.abs(gains) ** 2, vnorm2, log_term)
+    return sums
 
 
 @pytest.fixture

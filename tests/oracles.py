@@ -11,8 +11,12 @@ The whole-chunk forms (`mmse_combiner_all_rows`, `sample_channels_whole_chunk`,
 they were before each was cut down to at most three chunk-sized arrays; the
 shipped ones must match them bit for bit. `densify` (and `dense_mmse_combiner`
 on top of it) turns the MMSE combiner's cluster rows back into one
-(draws, L, N, K) array. None is on the path of `run_experiment`, so all live
-with the tests.
+(draws, L, N, K) array. `per_draw_uatf_se` and `per_draw_cd_se` are the two
+bounds as functions of every draw's gains (`per_draw_products`), and
+`masked_batch_ci` recomputes each on a masked copy of every batch, as they
+were before the evaluation summed its terms into one table per scheme: the
+table's batch rows must give the same CIs bit for bit. None is on the path of
+`run_experiment`, so all live with the tests.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from cellfree_sim.beamforming import estimated_draws, mmse_combiner
 from cellfree_sim.channel import ChannelStats
 from cellfree_sim.errors import ConfigError
 from cellfree_sim.estimation import EstimateSet, PilotEstimator
+from cellfree_sim.evaluation import N_BATCHES, BoundEstimate, _log_sinr
 from cellfree_sim.scenario import ServicePlan
 
 # Offsets of the 9 mirror copies of a point on the wrapped square.
@@ -148,6 +153,81 @@ def mmse_cluster_solve(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
         solution = np.linalg.solve(system, rhs[..., None])[..., 0]
         vectors[:, cluster, :, k] = solution.reshape(R, M, N).transpose(1, 0, 2)
     return vectors
+
+
+def masked_batch_ci(se_of, *per_draw: np.ndarray) -> np.ndarray:
+    """95% halfwidth by batch means: `se_of(*batch)` on each of B = min(N_BATCHES, R)
+    batches of the per-draw arrays, where draw r falls in batch floor(r B / R).
+    The spread over batches needs R >= 2."""
+    R = len(per_draw[0])
+    if R < 2:
+        raise ConfigError("SE evaluation needs at least 2 draws")
+    B = min(N_BATCHES, R)
+    batch = np.arange(R) * B // R
+    # masked copies, not slices: a batch then sums in one order whatever the input layout
+    se_batches = np.array([se_of(*(a[batch == b] for a in per_draw)) for b in range(B)])
+    return 1.96 * np.std(se_batches, axis=0, ddof=1) / np.sqrt(B)
+
+
+def per_draw_uatf_moments(own, abs2, vnorm2, powers, sigma2, prelog):
+    """UatF SE from per-draw own gains g_kk, |g_ki|^2 and ||v_k||^2, whose
+    sample means replace the expectations; returns (se, clamped)."""
+    signal = powers * np.abs(own.mean(axis=0)) ** 2             # p_k |E g_kk|^2
+    interference = abs2.mean(axis=0) @ powers                   # sum_i p_i E |g_ki|^2
+    fluctuation = interference - signal
+    denom = np.maximum(fluctuation, 0.0) + sigma2 * vnorm2.mean(axis=0)
+    return prelog * _log_sinr(signal, denom), fluctuation < 0.0
+
+
+def per_draw_uatf_se(gains: np.ndarray, vnorm2: np.ndarray, powers: np.ndarray, sigma2: float,
+                     prelog: float) -> tuple[BoundEstimate, tuple[int, ...]]:
+    """UatF bound from per-draw combined TRUE channel gains `gains[r, k, i]` (UE i
+    through UE k's combiner) and squared combiner norms `vnorm2[r, k]`; the
+    second return value holds the UEs whose fluctuation was clamped at zero."""
+    K = gains.shape[1]
+    per_draw = (gains[:, np.arange(K), np.arange(K)], np.abs(gains) ** 2, vnorm2)
+    ci = masked_batch_ci(lambda *batch: per_draw_uatf_moments(*batch, powers, sigma2, prelog)[0],
+                         *per_draw)
+    se, clamped = per_draw_uatf_moments(*per_draw, powers, sigma2, prelog)
+    return BoundEstimate(se=se, ci=ci), tuple(np.flatnonzero(clamped).tolist())
+
+
+def per_draw_products(v: np.ndarray, channels: np.ndarray, est: EstimateSet
+                      ) -> tuple[np.ndarray, ...]:
+    """Per-draw gains g[r, k, i] = v_k^H h_i of the (draws, L, N, K) combiners
+    `v` on the true `channels` and on the estimates, the quadratic forms
+    v_k^H C v_k and ||v_k||^2, all over the L*N antennas, for all draws at once."""
+    R, L, N, K = v.shape
+    v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
+    gains = v_h @ channels.reshape(R, L * N, K)
+    est_gains = v_h @ est.estimates.reshape(R, L * N, K)
+    c_v = est.c_matrices @ v                            # C_l v_lk per AP
+    quad = np.sum(v.real * c_v.real + v.imag * c_v.imag, axis=(1, 2))
+    vnorm2 = np.sum(np.abs(v) ** 2, axis=(1, 2))
+    return gains, est_gains, quad, vnorm2
+
+
+def cd_log_terms(est_gains: np.ndarray, noise_quad: np.ndarray,
+                 powers: np.ndarray) -> np.ndarray:
+    """Per-draw CD log2(1 + SINR) from the combined ESTIMATED channels
+    `est_gains[r, k, i]` and the noise-plus-error quadratic forms `noise_quad[r, k]`."""
+    K = est_gains.shape[1]
+    own = np.abs(est_gains[:, np.arange(K), np.arange(K)]) ** 2
+    total = (np.abs(est_gains) ** 2) @ powers
+    denom = np.maximum(total - powers * own, 0.0) + noise_quad
+    return _log_sinr(powers * own, denom)
+
+
+def per_draw_cd_se(est_gains: np.ndarray, noise_quad: np.ndarray, powers: np.ndarray,
+                   prelog: float) -> BoundEstimate:
+    """Coherent-decoding bound: the per-draw log terms averaged, expectations
+    inside the log."""
+    log_terms = cd_log_terms(est_gains, noise_quad, powers)
+
+    def se_of(terms):
+        return prelog * terms.mean(axis=0)
+
+    return BoundEstimate(se=se_of(log_terms), ci=masked_batch_ci(se_of, log_terms))
 
 
 def densify(rows: list[np.ndarray], plan: ServicePlan, ap_count: int) -> np.ndarray:

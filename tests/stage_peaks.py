@@ -11,7 +11,9 @@ and in units of one chunk-sized `(draws, L, N, K)` complex array, where
 draws is `min(CHUNK, larger budget)`. A stage's peak includes the stages
 nested in it. The stages are channel sampling, pilot estimation, the local
 MMSE matrices, the centralized MMSE combiner, the statistics pass, the
-per-draw terms and the two bounds; `run` is the whole experiment.
+per-draw terms (each block's gains reduced to the batch table's terms) and
+the bounds, which reduce each scheme's batch table of B + 1 rows; `run` is
+the whole experiment.
 The name keeps pytest from collecting this file.
 """
 

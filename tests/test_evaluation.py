@@ -29,21 +29,20 @@ from cellfree_sim.beamforming import (
 from cellfree_sim.channel import sample_channels
 from cellfree_sim.errors import ConfigError
 from cellfree_sim.estimation import PilotEstimator
-from cellfree_sim.evaluation import (
-    _uatf_from_moments,
-    cd_se,
-    evaluate_schemes,
-    uatf_se,
-)
+from cellfree_sim.evaluation import BatchSums, cd_se, evaluate_schemes, uatf_se
 from cellfree_sim.rng import ROLE_EVALUATION, ROLE_STATISTICS, subsequence
 
-from conftest import build_instance
+from conftest import batch_sums, build_instance
 from oracles import (
+    cd_log_terms,
     dense_mmse_combiner,
     densify,
     estimate_per_ue_innovation,
     lmmse_local_whole_chunk,
     mmse_combiner_all_rows,
+    per_draw_cd_se,
+    per_draw_products,
+    per_draw_uatf_se,
     sample_channels_whole_chunk,
 )
 
@@ -79,7 +78,28 @@ print(sum(after[t] - before[t] for t in before.keys() & after.keys() if t != cal
 """
 
 
+def bounds_against_oracle(gains, vnorm2, est_gains, quad, powers, sigma2, prelog):
+    """Both bounds from the batch table of these per-draw arrays, checked against
+    the per-draw oracles: every CI bit for bit, and the SEs to 1e-12. The table
+    sums in draw order; numpy sums an all-draw mean pairwise where the draws
+    lie contiguous in memory (g_kk taken off the diagonal, or K = 1), and so
+    does the oracle. Returns (uatf, clamped UEs, cd)."""
+    sums = batch_sums(gains, vnorm2, cd_log_terms(est_gains, quad, powers))
+    uatf, clamped = uatf_se(sums, powers, sigma2, prelog)
+    cd = cd_se(sums, prelog)
+    uatf_oracle, _ = per_draw_uatf_se(gains, vnorm2, powers, sigma2, prelog)
+    cd_oracle = per_draw_cd_se(est_gains, quad, powers, prelog)
+    assert np.array_equal(uatf.ci, uatf_oracle.ci) and np.array_equal(cd.ci, cd_oracle.ci)
+    np.testing.assert_allclose(uatf.se, uatf_oracle.se, rtol=1e-12)
+    np.testing.assert_allclose(cd.se, cd_oracle.se, rtol=1e-12)
+    return uatf, clamped, cd
+
+
 class TestUatfBound:
+    @staticmethod
+    def uatf(gains, vnorm2, powers, sigma2, prelog):
+        return bounds_against_oracle(gains, vnorm2, gains, vnorm2, powers, sigma2, prelog)[:2]
+
     def test_deterministic_single_ue_collapses_to_snr(self):
         # constant combined gain: the fluctuation term vanishes and the SINR
         # reduces to p |v^H h|^2 / (sigma^2 ||v||^2)
@@ -87,12 +107,12 @@ class TestUatfBound:
         vnorm2 = np.full((32, 1), 2.5)
         p = np.array([0.7])
         sigma2 = 0.3
-        est, _ = uatf_se(g, vnorm2, p, sigma2, prelog=0.975)
+        est, _ = self.uatf(g, vnorm2, p, sigma2, prelog=0.975)
         expected = 0.975 * np.log2(1.0 + 0.7 * 1.0 / (0.3 * 2.5))
         assert est.se[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_combiner_gives_zero_se(self):
-        est, _ = uatf_se(np.zeros((8, 2, 2)), np.zeros((8, 2)), np.ones(2), 0.1, 1.0)
+        est, _ = self.uatf(np.zeros((8, 2, 2)), np.zeros((8, 2)), np.ones(2), 0.1, 1.0)
         assert np.all(est.se == 0.0)
 
     def test_scale_invariance(self, rng):
@@ -101,23 +121,19 @@ class TestUatfBound:
         vnorm2 = rng.uniform(0.5, 2.0, size=(R, K))
         p = rng.uniform(0.1, 1.0, size=K)
         lam = 3.0 - 4.0j
-        base, _ = uatf_se(g, vnorm2, p, 0.2, 0.975)
-        scaled, _ = uatf_se(g * np.conj(lam), vnorm2 * abs(lam) ** 2, p, 0.2, 0.975)
+        base, _ = self.uatf(g, vnorm2, p, 0.2, 0.975)
+        scaled, _ = self.uatf(g * np.conj(lam), vnorm2 * abs(lam) ** 2, p, 0.2, 0.975)
         np.testing.assert_allclose(scaled.se, base.se, rtol=1e-12)
 
     def test_negative_fluctuation_is_clamped_and_flagged(self):
-        # feed one draw whose moments say Monte Carlo noise pushed the second
-        # moment below the squared mean
-        se, clamped = _uatf_from_moments(
-            own=np.array([[1.0 + 0j]]),
-            abs2=np.array([[[0.999]]]),
-            vnorm2=np.array([[1.0]]),
-            powers=np.array([1.0]),
-            sigma2=0.5,
-            prelog=1.0,
-        )
-        assert clamped[0]
-        assert se[0] == pytest.approx(np.log2(1 + 1.0 / 0.5), rel=1e-12)
+        # feed two equal draws whose moments say Monte Carlo noise pushed the
+        # second moment below the squared mean
+        sums = BatchSums.zeros(2, 1)
+        sums.add(0, 2, np.ones((2, 1), dtype=complex), np.full((2, 1, 1), 0.999),
+                 np.ones((2, 1)), np.zeros((2, 1)))
+        est, clamped = uatf_se(sums, powers=np.array([1.0]), sigma2=0.5, prelog=1.0)
+        assert clamped == (0,)
+        assert est.se[0] == pytest.approx(np.log2(1 + 1.0 / 0.5), rel=1e-12)
 
     @given(R=st.integers(2, 64), K=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
            exponent=st.integers(-8, 8), data=st.data())
@@ -133,27 +149,37 @@ class TestUatfBound:
         steady = data.draw(st.integers(0, K - 1))
         g[:, steady, steady] = g[0, steady, steady]
         p = rng.uniform(0.01, 1.0, size=K)
-        _, clamped_ues = uatf_se(g, rng.uniform(0.5, 2.0, size=(R, K)), p, 0.1, 1.0)
-        # the bound's own moments, in the order uatf_se forms them
-        signal = p * np.abs(g[:, np.arange(K), np.arange(K)].mean(axis=0)) ** 2
-        interference = (np.abs(g) ** 2).mean(axis=0) @ p
+        vnorm2 = rng.uniform(0.5, 2.0, size=(R, K))
+        sums = batch_sums(g, vnorm2, np.zeros((R, K)))
+        est, clamped_ues = uatf_se(sums, p, 0.1, 1.0)
+        # the batch values are the oracle's bit for bit; its all-draw SE sums
+        # in another order, which at the edge moves the SE by more than 1e-12
+        assert np.array_equal(est.ci, per_draw_uatf_se(g, vnorm2, p, 0.1, 1.0)[0].ci)
+        # the bound's own moments, from the table's total row
+        signal = p * np.abs(sums.own[-1] / R) ** 2
+        interference = (sums.abs2[-1] / R) @ p
         fluctuation = interference - signal
         assert np.all(fluctuation >= -1e-12 * interference)
         for k in clamped_ues:
             assert -1e-12 * interference[k] <= fluctuation[k] < 0.0
 
     def test_needs_two_draws(self):
-        with pytest.raises(ConfigError):
-            uatf_se(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.ones(1), 0.1, 1.0)
+        sums = batch_sums(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ConfigError, match="at least 2 draws"):
+            uatf_se(sums, np.ones(1), 0.1, 1.0)
 
 
 class TestCdBound:
+    @staticmethod
+    def cd(est_gains, quad, powers, prelog):
+        return bounds_against_oracle(est_gains, quad, est_gains, quad, powers, 0.1, prelog)[2]
+
     def test_matches_per_draw_hand_loop(self, rng):
         R, K, prelog = 40, 2, 0.975
         g = rng.standard_normal((R, K, K)) + 1j * rng.standard_normal((R, K, K))
         quad = rng.uniform(0.1, 1.0, size=(R, K))
         p = np.array([0.6, 1.0])
-        est = cd_se(g, quad, p, prelog)
+        est = self.cd(g, quad, p, prelog)
 
         expected = np.zeros(K)
         for r in range(R):
@@ -170,13 +196,14 @@ class TestCdBound:
         g = (rng.standard_normal((R, 1, 1)) + 1j * rng.standard_normal((R, 1, 1)))
         vnorm2 = rng.uniform(0.5, 2.0, size=(R, 1))
         p, sigma2 = 0.8, 0.2
-        est = cd_se(g, sigma2 * vnorm2, np.array([p]), 1.0)
+        est = self.cd(g, sigma2 * vnorm2, np.array([p]), 1.0)
         sinr = p * np.abs(g[:, 0, 0]) ** 2 / (sigma2 * vnorm2[:, 0])
         assert est.se[0] == pytest.approx(np.log2(1 + sinr).mean(), rel=1e-12)
 
     def test_needs_two_draws(self):
-        with pytest.raises(ConfigError):
-            cd_se(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.ones(1), 1.0)
+        sums = batch_sums(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ConfigError, match="at least 2 draws"):
+            cd_se(sums, 1.0)
 
 
 class TestEngine:
@@ -272,12 +299,14 @@ class TestEngine:
         assert np.all(mmse.uatf.se >= lt.uatf.se - tol_top)
         assert np.all(lt.uatf.se >= lsfd.uatf.se - tol_bot)
 
-    def test_reported_moments_match_a_per_draw_hand_loop(self):
+    # 7 draws: B = R < N_BATCHES, one draw per batch. CHUNK + 25 draws: batches
+    # of 15 and 16 draws (R is not a multiple of B) and a partial last block.
+    @pytest.mark.parametrize("eval_draws", [7, CHUNK + 25])
+    def test_reported_moments_match_a_per_draw_hand_loop(self, eval_draws):
         # every combined gain, noise-plus-error quadratic and combiner norm recomputed
         # with np.vdot per (draw, UE k, UE i) on the same draw streams
         cfg, plan, stats = build_instance(3)
-        stat_draws, eval_draws = 30, CHUNK + 22
-        stream = 41
+        stat_draws, stream = 30, 41
         reports = evaluate_schemes(stats, plan, cfg, list(Scheme), stat_draws, eval_draws, stream)
 
         sigma2, p = cfg.noise_power_w, plan.powers_w
@@ -290,6 +319,7 @@ class TestEngine:
 
         K = len(p)
         per_draw = {s: {"gain": [], "est_gain": [], "quad": [], "vnorm2": []} for s in Scheme}
+        products = {s: [] for s in Scheme}
         eval_seq = subsequence(stream, ROLE_EVALUATION)
         for draws, est in estimated_draws(estimator, eval_draws, eval_seq):
             local = lmmse_local_matrices(est, plan)
@@ -299,6 +329,7 @@ class TestEngine:
                 Scheme.LTMMSE: assemble_ltmmse(local, stage2),
             }
             for scheme, v in combiners.items():
+                products[scheme].append(per_draw_products(v, draws.true_channels, est))
                 for r in range(est.n_draws):
                     vr, hr, hhat = v[r], draws.true_channels[r], est.estimates[r]
                     per_draw[scheme]["gain"].append(
@@ -321,8 +352,14 @@ class TestEngine:
             noise = sigma2 * vnorm2.mean(axis=0)
             sinr = signal / (np.maximum(interference - signal, 0.0) + noise)
             np.testing.assert_allclose(rep.uatf.se, prelog * np.log2(1.0 + sinr), rtol=1e-12)
-            cd = cd_se(est_gain, quad, p, prelog)
+            cd = per_draw_cd_se(est_gain, quad, p, prelog)
             np.testing.assert_allclose(rep.cd.se, cd.se, rtol=1e-12)
+            # the same per-draw products as the engine's, so the oracle's batch
+            # means give the engine's CIs bit for bit
+            gains, est_gains, quads, vnorm2s = (np.concatenate(f) for f in zip(*products[scheme]))
+            uatf_oracle, _ = per_draw_uatf_se(gains, vnorm2s, p, sigma2, prelog)
+            assert np.array_equal(rep.uatf.ci, uatf_oracle.ci)
+            assert np.array_equal(rep.cd.ci, per_draw_cd_se(est_gains, quads, p, prelog).ci)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
                         or len(os.sched_getaffinity(0)) < 2,
@@ -336,11 +373,16 @@ class TestEngine:
         assert run.returncode == 0, run.stderr
         assert float(run.stdout) <= 0.03
 
-    def test_budget_guard(self):
-        # the config requires both budgets to be >= 2; the CIs need 2 draws
+    def test_budget_guard(self, monkeypatch):
+        # the config requires both budgets to be >= 2; the CIs need 2 draws, so
+        # a one-draw evaluation fails before any pass runs
         cfg, plan, stats = build_instance(4)
+        passes = []
+        monkeypatch.setattr(evaluation, "statistics_pass", lambda *a, **kw: passes.append(a))
+        monkeypatch.setattr(evaluation, "estimated_draws", lambda *a: passes.append(a))
         with pytest.raises(ConfigError, match="at least 2 draws"):
-            evaluate_schemes(stats, plan, cfg, [Scheme.MMSE], 10, 1, 0)
+            evaluate_schemes(stats, plan, cfg, list(Scheme), 10, 1, 0)
+        assert passes == []
 
 
 def traced_peak(fn) -> int:
@@ -393,16 +435,13 @@ class TestDrawBlocks:
         # the evaluation forms every scheme's terms block by block, from block
         # local matrices and scattered MMSE rows; CHUNK - 5 draws end in a
         # partial block
-        recorded = []
+        recorded, per_draw_terms = [], evaluation._per_draw_terms
 
-        def record(bound):
-            def recording(*args):
-                recorded.append(args[:2])
-                return bound(*args)
-            return recording
+        def recording(*args):
+            recorded.append(per_draw_terms(*args))
+            return recorded[-1]
 
-        monkeypatch.setattr(evaluation, "uatf_se", record(evaluation.uatf_se))
-        monkeypatch.setattr(evaluation, "cd_se", record(evaluation.cd_se))
+        monkeypatch.setattr(evaluation, "_per_draw_terms", recording)
         for case in ("partial_block", "zero_power_ue", "unused_pilot"):
             cfg, plan, stats = self.oracle_case(case)
             stat_draws, eval_draws, stream = 20, CHUNK - 5, 17
@@ -418,16 +457,16 @@ class TestDrawBlocks:
             combiners = (mmse_combiner_all_rows(est, plan),
                          assemble_lmmse_lsfd(local, lsfd_weights(lsfd)[0], plan),
                          assemble_ltmmse(local, stage2_all(pi, plan)[0]))
+            K = len(plan.powers_w)
             for s, v in enumerate(combiners):
-                R, L, N, K = v.shape
-                v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
-                c_v = est.c_matrices @ v
-                (gains, vnorm2), (est_gains, quad) = recorded[2 * s], recorded[2 * s + 1]
-                assert np.array_equal(gains, v_h @ draws.true_channels.reshape(R, L * N, K))
-                assert np.array_equal(est_gains, v_h @ est.estimates.reshape(R, L * N, K))
-                assert np.array_equal(quad, np.sum(v.real * c_v.real + v.imag * c_v.imag,
-                                                   axis=(1, 2)))
-                assert np.array_equal(vnorm2, np.sum(np.abs(v) ** 2, axis=(1, 2)))
+                # blocks record the schemes in turn: MMSE, LMMSE_LSFD, LTMMSE
+                own, abs2, vnorm2, log_term = (np.concatenate(f) for f in zip(*recorded[s::3]))
+                gains, est_gains, quad, vnorm2_chunk = per_draw_products(
+                    v, draws.true_channels, est)
+                assert np.array_equal(own, gains[:, np.arange(K), np.arange(K)])
+                assert np.array_equal(abs2, np.abs(gains) ** 2)
+                assert np.array_equal(vnorm2, vnorm2_chunk)
+                assert np.array_equal(log_term, cd_log_terms(est_gains, quad, plan.powers_w))
 
     def test_pi_moments_equal_whole_chunk_scaled_estimates(self):
         cfg, plan, stats = build_instance(3)
@@ -465,6 +504,15 @@ class TestDrawBlocks:
         peak = traced_peak(lambda: evaluate_schemes(
             stats, plan, cfg, list(Scheme), CHUNK, CHUNK, 7))
         assert peak / self.UNIT <= 5.0
+
+    def test_evaluation_peak_memory_does_not_grow_with_eval_draws(self):
+        # the bounds read one (B + 1)-row table per scheme; keeping every
+        # draw's K x K gains until the bounds ran read 5.2 times the 128+128
+        # peak at 128+1280
+        cfg, plan, stats = build_instance(3, **self.DESK)
+        short, long = (traced_peak(lambda: evaluate_schemes(
+            stats, plan, cfg, list(Scheme), CHUNK, n, 7)) for n in (CHUNK, 10 * CHUNK))
+        assert long <= 1.1 * short
 
     def test_statistics_pass_peak_memory(self):
         cfg, plan, stats = build_instance(3, **self.DESK)

@@ -29,8 +29,8 @@ from cellfree_sim.experiments import (
     run_experiment,
 )
 
-from conftest import build_instance
-from oracles import dense_mmse_combiner
+from conftest import batch_sums, build_instance
+from oracles import cd_log_terms, dense_mmse_combiner, per_draw_products
 
 
 def scaled_results(tmp_path, experiment, c):
@@ -139,22 +139,18 @@ def test_lsfd_weights_follow_ue_relabelling(instance):
 
 def test_bounds_follow_ue_relabelling(instance):
     cfg, plan, draws, est, _, _ = instance
-    R, L, N, K = est.estimates.shape
-    v = dense_mmse_combiner(est, plan)
-    v_h = v.reshape(R, L * N, K).conj().swapaxes(1, 2)
-    gains = v_h @ draws.true_channels.reshape(R, L * N, K)
-    est_gains = v_h @ est.estimates.reshape(R, L * N, K)
-    c_v = est.c_matrices @ v
-    quad = np.sum(v.real * c_v.real + v.imag * c_v.imag, axis=(1, 2))
-    vnorm2 = np.sum(np.abs(v) ** 2, axis=(1, 2))
+    gains, est_gains, quad, vnorm2 = per_draw_products(dense_mmse_combiner(est, plan),
+                                                       draws.true_channels, est)
     prelog = 0.9
 
+    def bounds(o):
+        """Both bounds of the batch table with UEs relabelled by `o`."""
+        powers = plan.powers_w[o]
+        sums = batch_sums(gains[:, o][:, :, o], vnorm2[:, o],
+                          cd_log_terms(est_gains[:, o][:, :, o], quad[:, o], powers))
+        return uatf_se(sums, powers, cfg.noise_power_w, prelog)[0], cd_se(sums, prelog)
+
     o = UE_ORDER
-    uatf, _ = uatf_se(gains, vnorm2, plan.powers_w, cfg.noise_power_w, prelog)
-    uatf_relabelled, _ = uatf_se(gains[:, o][:, :, o], vnorm2[:, o], plan.powers_w[o],
-                                 cfg.noise_power_w, prelog)
-    cd = cd_se(est_gains, quad, plan.powers_w, prelog)
-    cd_relabelled = cd_se(est_gains[:, o][:, :, o], quad[:, o], plan.powers_w[o], prelog)
-    for got, want in ((uatf_relabelled, uatf), (cd_relabelled, cd)):
+    for got, want in zip(bounds(o), bounds(np.arange(len(o)))):
         assert_permuted(got.se, want.se[o])
         assert_permuted(got.ci, want.ci[o])
