@@ -10,11 +10,12 @@ Three combiner families with increasing CSI centralization:
   matrices Pi_l and make the pair jointly optimal among all combiners that
   use only local instantaneous CSI.
 * ``MMSE``: the centralized optimum, solved on the cluster-restricted system
-  as one K x K system per draw, and returned on each UE's serving-cluster
-  rows only (the blocks outside the cluster are identically zero).
+  as one K x K system per draw, and returned on the rows of the serving
+  pairs only (the blocks outside each cluster are identically zero).
 
 The local matrices and the distributed combiners are (draws, L, N, K)
-arrays; the evaluation forms them `DRAW_BLOCK` draws at a time.
+arrays; the evaluation forms them `DRAW_BLOCK` draws at a time and applies
+both second stages, each formed once per setup, in one broadcast product.
 
 Statistical quantities (Pi_l, LSFD moments) are Monte Carlo estimates over a
 dedicated draw budget, kept separate from the draws used for SE evaluation.
@@ -62,7 +63,7 @@ class LsfdMoments:
     denominator: tuple[np.ndarray, ...]   # D_k = sum_i p_i E g_ki g_ki^H + sigma^2 diag(E|v_lk|^2)
 
 
-def mmse_combiner(est: EstimateSet, plan: ServicePlan) -> list[np.ndarray]:
+def mmse_combiner(est: EstimateSet, plan: ServicePlan) -> np.ndarray:
     """Centralized MMSE combiner, solved per UE on its serving cluster.
 
     With C_c = blockdiag(C_l) over the cluster, the push-through identity
@@ -70,21 +71,23 @@ def mmse_combiner(est: EstimateSet, plan: ServicePlan) -> list[np.ndarray]:
 
         v_k = sqrt(p_k) B_c y,  B_c = C_c^-1 H_c,  (I + P H_c^H B_c) y = e_k.
 
-    Returns one (draws, M_k, N) array per UE k: its combiner on the rows of
-    the M_k APs of its serving cluster, in cluster order. Outside the cluster
-    the combiner is exactly zero.
+    Returns the (draws, P, N) rows of the P serving pairs, in the order of
+    `plan.serving_pairs`: row p is the combiner of UE ue[p] at AP ap[p].
+    Outside its cluster a UE's combiner is exactly zero.
     """
     R, L, N, K = est.estimates.shape
     c_inv = np.linalg.inv(est.c_matrices)
     by_ap = est.estimates.transpose(1, 2, 0, 3)   # (L, N, R, K): one C_l^-1 product for all draws
     eye = np.eye(K)
-    rows = []
+    ue = plan.serving_pairs[1]
+    rows = np.empty((R, len(ue), N), dtype=complex)
     for k, cluster in enumerate(plan.cluster_of_ue):
         Hc = by_ap[cluster]                                      # (M, N, R, K)
         Bc = (c_inv[cluster] @ Hc.reshape(len(cluster), N, -1)).reshape(-1, R, K).swapaxes(0, 1)
         gram = Hc.reshape(-1, R, K).swapaxes(0, 1).conj().swapaxes(1, 2) @ Bc
         y = np.sqrt(plan.powers_w[k]) * np.linalg.solve(eye + plan.powers_w[:, None] * gram, eye[k])
-        rows.append((Bc @ y[..., None]).reshape(R, -1, N))
+        rows[:, ue == k] = (Bc @ y[..., None]).reshape(R, -1, N)
+        del Hc, Bc, gram   # free them before the next UE's are formed
     return rows
 
 
@@ -195,19 +198,24 @@ def statistics_pass(estimator: PilotEstimator, mc: int, stream,
     return pi, lsfd
 
 
-def lsfd_weights(moments: LsfdMoments) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """Optimal LSFD weights per UE, a_k = D_k^-1 f_k, and the UEs whose
-    near-singular D_k needed a ridge regularization.
+def lsfd_weights(moments: LsfdMoments, plan: ServicePlan,
+                 ap_count: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Optimal LSFD weights a_k = D_k^-1 f_k, embedded in a dense (K, L) array
+    with zero entries for non-serving APs, and the UEs whose near-singular D_k
+    needed a ridge regularization.
 
     The UatF SINR p_k |a^H f_k|^2 / a^H (D_k - p_k f_k f_k^H) a is maximized by
     (D_k - p_k f_k f_k^H)^-1 f_k (Bjornson & Sanguinetti, IEEE TWC 2020), which
     by Sherman-Morrison is D_k^-1 f_k / (1 - p_k f_k^H D_k^-1 f_k). The scalar
     is real and positive as D_k - p_k f_k f_k^H > 0, and both SE bounds are
-    invariant to a positive scaling of a UE's combiner.
+    invariant to a positive scaling of a UE's combiner. So a_k is divided by
+    its largest modulus, as it scales as c^-1/2 with every power and the noise
+    and the combiner's squared gains would under- or overflow at extreme c.
     """
-    weights: list[np.ndarray] = []
+    weights = np.zeros((len(plan.cluster_of_ue), ap_count), dtype=complex)
     flagged: list[int] = []
-    for k, (f, denom) in enumerate(zip(moments.mean_gain, moments.denominator)):
+    for k, (cluster, f, denom) in enumerate(zip(plan.cluster_of_ue, moments.mean_gain,
+                                                moments.denominator)):
         try:
             a = np.linalg.solve(denom, f)
             if not np.all(np.isfinite(a)):
@@ -216,24 +224,14 @@ def lsfd_weights(moments: LsfdMoments) -> tuple[list[np.ndarray], tuple[int, ...
             ridge = 1e-12 * max(np.abs(np.trace(denom)), 1.0)
             a = np.linalg.solve(denom + ridge * np.eye(len(f)), f)
             flagged.append(k)
-        weights.append(a)
+        largest = np.abs(a).max()
+        weights[k, cluster] = a / largest if largest > 0.0 else a
     return weights, tuple(flagged)
 
 
-def assemble_lmmse_lsfd(local: np.ndarray, weights: list[np.ndarray],
-                        plan: ServicePlan) -> np.ndarray:
-    """Combine local matrices with LSFD weights into full combining vectors.
-
-    Each UE's weights are divided by their largest modulus: D_k^-1 f_k scales
-    as c^-1/2 with every power and the noise, so the combiner's squared gains
-    would under- or overflow at extreme c. Both SE bounds ignore this scale.
-    """
-    R, L, N, K = local.shape
-    weight_full = np.zeros((K, L), dtype=complex)
-    for k, cluster in enumerate(plan.cluster_of_ue):
-        largest = np.abs(weights[k]).max()
-        weight_full[k, cluster] = weights[k] / largest if largest > 0.0 else weights[k]
-    return local * weight_full.T[None, :, None, :]
+def assemble_lmmse_lsfd(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weight per-draw local matrices with the (K, L) LSFD weights of `lsfd_weights`."""
+    return local * weights.T[:, None, :]
 
 
 def ltmmse_stage2(pi: PiSet, cluster: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
@@ -302,11 +300,10 @@ def stage2_all(pi: PiSet, plan: ServicePlan) -> tuple[np.ndarray, tuple[int, ...
             pass
     c = a_inv @ y.T                                  # c[l, :, k] = A_l^-1 y_k
 
+    ap, ue = plan.serving_pairs
     full = np.zeros((K, L, K), dtype=complex)
-    flagged = []
-    for k, cluster in enumerate(clusters):
-        full[k, cluster] = c[cluster, :, k]
-        if not np.isfinite(full[k]).all():
-            full[k, cluster] = ltmmse_stage2(pi, cluster, k)[0]
-            flagged.append(k)
+    full[ue, ap] = c[ap, :, ue]
+    flagged = np.flatnonzero(~np.isfinite(full).all(axis=(1, 2))).tolist()
+    for k in flagged:
+        full[k, clusters[k]] = ltmmse_stage2(pi, clusters[k], k)[0]
     return full, tuple(flagged)

@@ -51,6 +51,14 @@ class BoundEstimate:
     se: np.ndarray            # (K,) bits/s/Hz
     ci: np.ndarray            # (K,) 95% halfwidth from batch means
 
+    @classmethod
+    def from_rows(cls, se: np.ndarray, count: np.ndarray) -> BoundEstimate:
+        """The bound of a table's (B + 1, K) per-row SEs and per-row draw counts: the total
+        row's SE, and the 95% halfwidth from the spread of the B batch rows (2 draws or more)."""
+        if count[-1] < 2:
+            raise ConfigError("SE evaluation needs at least 2 draws")
+        return cls(se=se[-1], ci=1.96 * np.std(se[:-1], axis=0, ddof=1) / np.sqrt(len(se) - 1))
+
 
 @dataclass(frozen=True)
 class SeReport:
@@ -88,17 +96,6 @@ class BatchSums(NamedTuple):
             np.add.at(sums, rows, term[:, None])
 
 
-def _batch_ci(per_batch: np.ndarray) -> np.ndarray:
-    """95% halfwidth by batch means from a statistic's B per-batch values (rows)."""
-    return 1.96 * np.std(per_batch, axis=0, ddof=1) / np.sqrt(len(per_batch))
-
-
-def _require_two_draws(sums: BatchSums) -> None:
-    """The batch-means CI needs at least 2 draws in the table."""
-    if sums.count[-1] < 2:
-        raise ConfigError("SE evaluation needs at least 2 draws")
-
-
 def _log_sinr(signal: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """log2(1 + signal / denom), and 0 where denom is 0."""
     positive = denom > 0.0
@@ -118,23 +115,21 @@ def uatf_se(sums: BatchSums, powers: np.ndarray, sigma2: float,
     the UE is flagged: the second return value holds the UEs clamped on the
     total row.
     """
-    _require_two_draws(sums)
     count = sums.count[:, None]
     signal = powers * np.abs(sums.own / count) ** 2                  # p_k |E g_kk|^2
     interference = (sums.abs2 / count[..., None]) @ powers          # sum_i p_i E |g_ki|^2
     fluctuation = interference - signal
     denom = np.maximum(fluctuation, 0.0) + sigma2 * (sums.vnorm2 / count)
     se = prelog * _log_sinr(signal, denom)
-    return (BoundEstimate(se=se[-1], ci=_batch_ci(se[:-1])),
+    return (BoundEstimate.from_rows(se, sums.count),
             tuple(np.flatnonzero(fluctuation[-1] < 0.0).tolist()))
 
 
 def cd_se(sums: BatchSums, prelog: float) -> BoundEstimate:
     """Coherent-decoding bound from the table's per-draw log terms: each row's
     mean log term, so expectations stay inside the log."""
-    _require_two_draws(sums)
     se = prelog * (sums.log_term / sums.count[:, None])
-    return BoundEstimate(se=se[-1], ci=_batch_ci(se[:-1]))
+    return BoundEstimate.from_rows(se, sums.count)
 
 
 def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet,
@@ -175,6 +170,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     schemes = [Scheme(s) for s in schemes]
     prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
 
+    K, L, N = stats.los_mean.shape
     need_lsfd = Scheme.LMMSE_LSFD in schemes
     need_pi = Scheme.LTMMSE in schemes
     need_local = need_lsfd or need_pi
@@ -187,15 +183,16 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
             need_pi=need_pi, need_lsfd=need_lsfd,
         )
         if need_lsfd:
-            weights, flagged = lsfd_weights(lsfd)
+            weights, flagged = lsfd_weights(lsfd, plan, L)
             regularized[Scheme.LMMSE_LSFD] = flagged
         if need_pi:
             stage2_full, flagged = stage2_all(pi, plan)
             regularized[Scheme.LTMMSE] = flagged
+        del pi, lsfd   # the evaluation reads only the second stages formed from them
 
-    # The MMSE combiners of a chunk are held on their cluster rows; each block
-    # scatters them into this zeroed array, whose other entries stay zero.
-    K, L, N = stats.los_mean.shape
+    # The MMSE combiners of a chunk are held on the rows of the serving pairs;
+    # each block copies them into this zeroed array, whose other entries stay zero.
+    ap, ue = plan.serving_pairs
     mmse_block = np.zeros((DRAW_BLOCK, L, N, K), dtype=complex)
     tables = {s: BatchSums.zeros(eval_draws, K) for s in schemes}
     done = 0
@@ -209,10 +206,9 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
             for scheme in schemes:
                 if scheme is Scheme.MMSE:
                     v = mmse_block[:len(est_block.estimates)]
-                    for k, cluster in enumerate(plan.cluster_of_ue):
-                        v[:, :, :, k][:, cluster] = rows[k][block]
+                    v[:, ap, :, ue] = rows[block].swapaxes(0, 1)   # indexed as (P, draws, N)
                 elif scheme is Scheme.LMMSE_LSFD:
-                    v = assemble_lmmse_lsfd(local, weights, plan)
+                    v = assemble_lmmse_lsfd(local, weights)
                 else:
                     v = assemble_ltmmse(local, stage2_full)
                 tables[scheme].add(done + start, eval_draws, *_per_draw_terms(

@@ -114,6 +114,12 @@ class ServicePlan:
     powers_w: np.ndarray                  # (K,) uplink data power
     pilot_powers_w: np.ndarray            # (K,) uplink pilot power
 
+    @property
+    def serving_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(AP, UE) index arrays of every serving pair, UE by UE in cluster order."""
+        sizes = [len(c) for c in self.cluster_of_ue]
+        return np.concatenate(self.cluster_of_ue), np.repeat(np.arange(len(sizes)), sizes)
+
 
 def path_gain_db(d_m, f_mhz, shadow_db=0.0):
     """Channel gain in dB for the urban-microcell COST-231 Walfish-Ikegami fit.

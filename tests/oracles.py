@@ -10,7 +10,7 @@ The whole-chunk forms (`mmse_combiner_all_rows`, `sample_channels_whole_chunk`,
 `estimate_per_ue_innovation`, `lmmse_local_whole_chunk`) are the producers as
 they were before each was cut down to at most three chunk-sized arrays; the
 shipped ones must match them bit for bit. `densify` (and `dense_mmse_combiner`
-on top of it) turns the MMSE combiner's cluster rows back into one
+on top of it) turns the MMSE combiner's serving-pair rows back into one
 (draws, L, N, K) array. `per_draw_uatf_se` and `per_draw_cd_se` are the two
 bounds as functions of every draw's gains (`per_draw_products`), and
 `masked_batch_ci` recomputes each on a masked copy of every batch, as they
@@ -230,13 +230,13 @@ def per_draw_cd_se(est_gains: np.ndarray, noise_quad: np.ndarray, powers: np.nda
     return BoundEstimate(se=se_of(log_terms), ci=masked_batch_ci(se_of, log_terms))
 
 
-def densify(rows: list[np.ndarray], plan: ServicePlan, ap_count: int) -> np.ndarray:
-    """(draws, L, N, K) combiners from per-UE (draws, M_k, N) cluster rows,
-    exactly zero outside each UE's serving cluster."""
-    R, _, N = rows[0].shape
-    dense = np.zeros((R, ap_count, N, len(rows)), dtype=complex)
-    for k, cluster in enumerate(plan.cluster_of_ue):
-        dense[:, :, :, k][:, cluster] = rows[k]
+def densify(rows: np.ndarray, plan: ServicePlan, ap_count: int) -> np.ndarray:
+    """(draws, L, N, K) combiners from the (draws, P, N) rows of the serving
+    pairs, exactly zero outside each UE's serving cluster."""
+    R, _, N = rows.shape
+    ap, ue = plan.serving_pairs
+    dense = np.zeros((R, ap_count, N, len(plan.cluster_of_ue)), dtype=complex)
+    dense[:, ap, :, ue] = rows.swapaxes(0, 1)
     return dense
 
 

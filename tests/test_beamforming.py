@@ -89,6 +89,14 @@ def empirical_lsfd_moments(est, local, channels, plan, sigma2):
     return LsfdMoments(mean_gain=tuple(f), denominator=tuple(D))
 
 
+def unit_weights(plan, ap_count):
+    """(K, L) LSFD weights of 1 on every serving pair, 0 elsewhere."""
+    ap, ue = plan.serving_pairs
+    weights = np.zeros((len(plan.cluster_of_ue), ap_count))
+    weights[ue, ap] = 1.0
+    return weights
+
+
 class TestMmseCombiner:
     def test_scalar_closed_form(self, rng):
         # detected symbol is v^H y, so the scalar solution is h/(|h|^2 + s2):
@@ -186,31 +194,52 @@ class TestLocalMatrix:
         np.testing.assert_allclose(v[:, 0], V[:, 0], rtol=1e-10)
 
 
+def one_ue_weights(f, D):
+    """`lsfd_weights` of one UE whose moments are `f` and `D`, served by all
+    len(f) APs of the network: its row of weights and the flagged UEs."""
+    weights, flagged = lsfd_weights(LsfdMoments(mean_gain=(f,), denominator=(D,)),
+                                    make_plan([0], [np.arange(len(f))]), len(f))
+    return weights[0], flagged
+
+
 class TestLsfdWeights:
     def test_silent_ap_gets_zero_weight(self):
         f = np.array([0.9 + 0.1j, 0.0])
         G = np.outer(f, f.conj()) + np.diag([0.2, 0.0])
-        moments = LsfdMoments(mean_gain=(f,), denominator=(G + 0.3 * np.diag([0.5, 0.4]),))
-        weights, flagged = lsfd_weights(moments)
+        weights, flagged = one_ue_weights(f, G + 0.3 * np.diag([0.5, 0.4]))
         assert flagged == ()
-        assert abs(weights[0][1]) < 1e-14 * abs(weights[0][0])
+        assert abs(weights[1]) < 1e-14 * abs(weights[0])
 
     def test_singular_moments_fall_back_to_ridge(self):
         f = np.array([1.0 + 0j, 0.0])
         # no noise power at the second AP: D = f f^H is singular
-        moments = LsfdMoments(mean_gain=(f,), denominator=(np.outer(f, f.conj()),))
-        weights, flagged = lsfd_weights(moments)
+        weights, flagged = one_ue_weights(f, np.outer(f, f.conj()))
         assert flagged == (0,)
-        assert np.all(np.isfinite(weights[0]))
+        assert np.all(np.isfinite(weights))
+
+    def test_weights_are_laid_out_on_the_clusters(self, rng):
+        # UE 0 is served by APs 1 and 3, UE 1 by AP 2 alone; AP 0 serves nobody
+        clusters = [[1, 3], [2]]
+        f = tuple(rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c))
+                  for c in clusters)
+        D = tuple(np.outer(g, g.conj()) + np.eye(len(g)) for g in f)
+        weights, flagged = lsfd_weights(LsfdMoments(mean_gain=f, denominator=D),
+                                        make_plan([0, 1], clusters), 4)
+        assert weights.shape == (2, 4) and flagged == ()
+        for k, cluster in enumerate(clusters):
+            assert np.abs(weights[k]).max() == pytest.approx(1.0, rel=1e-15)
+            np.testing.assert_array_equal(np.delete(weights[k], cluster), 0.0)
+            a = np.linalg.solve(D[k], f[k])
+            np.testing.assert_allclose(weights[k, cluster], a / np.abs(a).max(), rtol=1e-12)
 
     def test_overflowing_solve_falls_back_to_ridge(self):
         # D^-1 f = (1e318, 1) overflows to inf, and solve raises nothing
         f = np.array([1e10 + 0j, 1.0])
         D = np.diag([1e-308, 1.0]).astype(complex)
         assert not np.all(np.isfinite(np.linalg.solve(D, f)))
-        weights, flagged = lsfd_weights(LsfdMoments(mean_gain=(f,), denominator=(D,)))
+        weights, flagged = one_ue_weights(f, D)
         assert flagged == (0,)
-        assert np.all(np.isfinite(weights[0]))
+        assert np.all(np.isfinite(weights))
 
     def test_rayleigh_quotient_maximality(self, rng):
         # the returned weights beat 200 random directions on the UatF SINR
@@ -225,15 +254,14 @@ class TestLsfdWeights:
         G[k] += np.outer(f, f.conj())
         S = rng.uniform(0.2, 1.0, size=M)
         D = np.einsum("i,imn->mn", powers, G) + sigma2 * np.diag(S)
-        moments = LsfdMoments(mean_gain=(f,), denominator=(D,))
 
         def sinr(a):
             num = powers[k] * abs(a.conj() @ f) ** 2
             B = D - powers[k] * np.outer(f, f.conj())
             return num / (a.conj() @ B @ a).real
 
-        weights, _ = lsfd_weights(moments)
-        best = sinr(weights[0])
+        weights, _ = one_ue_weights(f, D)
+        best = sinr(weights)
         for trial in range(200):
             a = (np.random.default_rng(trial).standard_normal(M)
                  + 1j * np.random.default_rng(trial + 999).standard_normal(M))
@@ -248,9 +276,10 @@ class TestLsfdWeights:
         X = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
         B = X @ X.conj().T + M * np.eye(M)          # D - p f f^H, Hermitian and > 0
         D = B + p * np.outer(f, f.conj())
-        weights, flagged = lsfd_weights(LsfdMoments(mean_gain=(f,), denominator=(D,)))
-        a, b = weights[0], np.linalg.solve(B, f)
-        assert flagged == ()
+        weights, flagged = one_ue_weights(f, D)
+        assert flagged == () and np.abs(weights).max() == pytest.approx(1.0, rel=1e-15)
+        # undo the largest-modulus scaling: the Sherman-Morrison scalar is that of D^-1 f
+        a, b = weights * np.abs(np.linalg.solve(D, f)).max(), np.linalg.solve(B, f)
 
         scale = np.vdot(b, a) / np.vdot(b, b)
         assert scale.real > 0 and abs(scale.imag) <= 1e-12 * scale.real
@@ -449,8 +478,8 @@ class TestStageTwo:
         for k, cluster in enumerate(plan.cluster_of_ue):
             stage2[k, cluster, :] = np.eye(3)[k]
         team = assemble_ltmmse(local, stage2)
-        unit = assemble_lmmse_lsfd(local, [np.ones(len(c)) for c in plan.cluster_of_ue], plan)
-        np.testing.assert_allclose(team, unit, atol=1e-14)
+        np.testing.assert_allclose(team, assemble_lmmse_lsfd(local, unit_weights(plan, 2)),
+                                   atol=1e-14)
 
 
 class TestSchemeEquivalences:
@@ -487,10 +516,9 @@ class TestSchemeEquivalences:
         stage2, _ = stage2_all(empirical_pi(est, local, powers), plan)
         team = assemble_ltmmse(local, stage2)
         moments = empirical_lsfd_moments(est, local, draws.true_channels, plan, sigma2)
-        weights, _ = lsfd_weights(moments)
-        weighted = assemble_lmmse_lsfd(local, weights, plan)
-        unit = assemble_lmmse_lsfd(local, [np.ones(len(c)) for c in plan.cluster_of_ue],
-                                   plan)
+        weights, _ = lsfd_weights(moments, plan, cfg.ap_count)
+        weighted = assemble_lmmse_lsfd(local, weights)
+        unit = assemble_lmmse_lsfd(local, unit_weights(plan, cfg.ap_count))
 
         # rescale the weighted solution to its MSE-optimal complex scale
         ghat = combined_gains(weighted, est.estimates)

@@ -314,7 +314,7 @@ class TestEngine:
         estimator = PilotEstimator(stats, plan, cfg)
         pi, lsfd = statistics_pass(estimator, stat_draws,
                                    subsequence(stream, ROLE_STATISTICS), need_pi=True, need_lsfd=True)
-        weights, _ = lsfd_weights(lsfd)
+        weights, _ = lsfd_weights(lsfd, plan, cfg.ap_count)
         stage2, _ = stage2_all(pi, plan)
 
         K = len(p)
@@ -325,7 +325,7 @@ class TestEngine:
             local = lmmse_local_matrices(est, plan)
             combiners = {
                 Scheme.MMSE: dense_mmse_combiner(est, plan),
-                Scheme.LMMSE_LSFD: assemble_lmmse_lsfd(local, weights, plan),
+                Scheme.LMMSE_LSFD: assemble_lmmse_lsfd(local, weights),
                 Scheme.LTMMSE: assemble_ltmmse(local, stage2),
             }
             for scheme, v in combiners.items():
@@ -428,7 +428,7 @@ class TestDrawBlocks:
         assert np.array_equal(lmmse_local_matrices(est, plan), lmmse_local_whole_chunk(est, plan))
         rows = mmse_combiner(est, plan)
         N = cfg.antennas_per_ap
-        assert [r.shape for r in rows] == [(n, len(c), N) for c in plan.cluster_of_ue]
+        assert rows.shape == (n, sum(len(c) for c in plan.cluster_of_ue), N)
         assert np.array_equal(densify(rows, plan, cfg.ap_count), mmse_combiner_all_rows(est, plan))
 
     def test_per_draw_terms_equal_whole_chunk_products(self, monkeypatch):
@@ -455,7 +455,7 @@ class TestDrawBlocks:
                                             subsequence(stream, ROLE_EVALUATION))
             local = lmmse_local_whole_chunk(est, plan)
             combiners = (mmse_combiner_all_rows(est, plan),
-                         assemble_lmmse_lsfd(local, lsfd_weights(lsfd)[0], plan),
+                         assemble_lmmse_lsfd(local, lsfd_weights(lsfd, plan, cfg.ap_count)[0]),
                          assemble_ltmmse(local, stage2_all(pi, plan)[0]))
             K = len(plan.powers_w)
             for s, v in enumerate(combiners):

@@ -126,12 +126,13 @@ def test_stage_two_follows_ue_relabelling(instance):
 
 
 def test_lsfd_weights_follow_ue_relabelling(instance):
-    *_, moments = instance
+    cfg, plan, *_, moments = instance
     o = UE_ORDER
     relabelled = LsfdMoments(mean_gain=tuple(moments.mean_gain[k] for k in o),
                              denominator=tuple(moments.denominator[k] for k in o))
-    weights, flagged = lsfd_weights(moments)
-    weights_relabelled, flagged_relabelled = lsfd_weights(relabelled)
+    weights, flagged = lsfd_weights(moments, plan, cfg.ap_count)
+    weights_relabelled, flagged_relabelled = lsfd_weights(relabelled, relabel_ues(plan, o),
+                                                          cfg.ap_count)
     for j, k in enumerate(o):
         assert_permuted(weights_relabelled[j], weights[k])
     assert sorted(o[list(flagged_relabelled)]) == sorted(flagged)

@@ -16,6 +16,7 @@ from cellfree_sim.scenario import (
     rician_factor,
 )
 
+from conftest import make_plan
 from oracles import wrapped_distance
 
 TABLE_CFG = AreaConfig()  # reference large-network parameter set
@@ -159,6 +160,23 @@ class TestServicePlan:
         for k in range(cfg.ue_count):
             assert masters[k] in plan.cluster_of_ue[k]
             assert len(plan.cluster_of_ue[k]) >= 1
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_serving_pairs_round_trip_to_clusters(self, data):
+        L = data.draw(st.integers(1, 8), label="L")
+        # single-AP and full clusters next to arbitrary ones
+        cluster = st.one_of(st.just(frozenset(range(L))),
+                            st.integers(0, L - 1).map(lambda l: frozenset({l})),
+                            st.frozensets(st.integers(0, L - 1), min_size=1))
+        clusters = data.draw(st.lists(cluster, min_size=1, max_size=6), label="clusters")
+        plan = make_plan(np.zeros(len(clusters)), [sorted(c) for c in clusters])
+        ap, ue = plan.serving_pairs
+        assert ap.dtype.kind == ue.dtype.kind == "i"
+        assert len(ap) == len(ue) == sum(len(c) for c in clusters)
+        assert np.all(np.diff(ue) >= 0)                  # UE by UE
+        for k, c in enumerate(plan.cluster_of_ue):
+            assert np.array_equal(ap[ue == k], c)        # each UE's APs in cluster order
 
     def test_determinism(self):
         _, _, a = self._plan(9)
