@@ -243,11 +243,9 @@ def ltmmse_stage2(pi: PiSet, cluster: np.ndarray, k: int) -> tuple[np.ndarray, b
     """
     M = len(cluster)
     K = pi.pi.shape[1]
-    system = np.empty((M * K, M * K), dtype=complex)
-    eye = np.eye(K, dtype=complex)
-    for a, l in enumerate(cluster):
-        for b, j in enumerate(cluster):
-            system[a * K:(a + 1) * K, b * K:(b + 1) * K] = eye if a == b else pi.pi[j]
+    blocks = np.broadcast_to(pi.pi[cluster], (M, M, K, K)).astype(complex)  # (a, b): Pi_b
+    blocks[np.arange(M), np.arange(M)] = np.eye(K)
+    system = blocks.swapaxes(1, 2).reshape(M * K, M * K)
     rhs = np.tile(np.eye(K, dtype=complex)[:, k], M)
     try:
         solution = np.linalg.solve(system, rhs)

@@ -228,7 +228,7 @@ def stats_from_geometry(geom: PairGeometry, dep: Deployment, phases: np.ndarray,
         kappa = np.full((K, L), float(kappa_override))
     with np.errstate(invalid="ignore"):
         los_share = np.where(np.isinf(kappa), 1.0, kappa / (kappa + 1.0))
-        nlos_share = np.where(np.isinf(kappa), 0.0, 1.0 / (kappa + 1.0))
+        nlos_share = 1.0 / (kappa + 1.0)   # exactly 0 at kappa = inf
 
     los_mean = (np.sqrt(beta_lin * los_share)[:, :, None] * geom.steering
                 * np.exp(1j * phases)[:, :, None])

@@ -71,39 +71,29 @@ class PilotEstimator:
         self._mean_received = stats.los_mean.transpose(1, 2, 0) @ coef
         self._ues_on_pilot = [np.flatnonzero(plan.pilot_of_ue == t) for t in range(tau_p)]
 
-    def _pilot_sums(self, H: np.ndarray) -> np.ndarray:
-        """Noiseless decorrelated pilot signal (R, L, N, tau_p) of channels H."""
-        received = np.empty(H.shape[:-1] + (self.cfg.pilot_count,), dtype=complex)
-        # One small product per pilot, not H.reshape(-1, K) @ coef: a single
-        # (R L N) x K product is large enough for OpenBLAS to thread, and its
-        # worker then busy-waits about 0.1 s after every chunk, taking a core
-        # from the setup workers. An unused pilot's column is exactly zero.
-        for t, on_t in enumerate(self._ues_on_pilot):
-            np.matmul(H[..., on_t], self._pilot_coef[on_t, t], out=received[..., t])
-        return received
-
     def estimate(self, draw: ChannelDraw, rng: np.random.Generator) -> EstimateSet:
         """Simulate pilot reception for each draw and apply the MMSE map."""
         H = draw.true_channels                            # (R, L, N, K)
         R, L, N = H.shape[:3]
         tau_p = self.cfg.pilot_count
-        sigma2 = self.cfg.noise_power_w
-
-        innovation = self._pilot_sums(H)
-        noise_scale = np.sqrt(0.5 * sigma2 * tau_p)
+        noise_scale = np.sqrt(0.5 * self.cfg.noise_power_w * tau_p)
         noise = noise_scale * (
             rng.standard_normal((R, tau_p, L, N)) + 1j * rng.standard_normal((R, tau_p, L, N))
         )
-        innovation += noise.transpose(0, 2, 3, 1)
-        innovation -= self._mean_received
-        del noise
 
-        # one product per pilot: every UE on pilot t maps the same innovation
-        by_pilot = innovation.transpose(3, 1, 2, 0)         # (tau_p, L, N, R)
+        # One pass per pilot: its decorrelated innovation, then one product
+        # that every UE on it shares. A small product per pilot, not
+        # H.reshape(-1, K) @ coef: a single (R L N) x K product is large enough
+        # for OpenBLAS to thread, and its worker then busy-waits about 0.1 s
+        # after every chunk, taking a core from the setup workers.
+        innovation = np.empty((R, L, N), dtype=complex)
         estimates = np.empty((len(self.gain), L, N, R), dtype=complex)
         for t, on_t in enumerate(self._ues_on_pilot):
-            estimates[on_t] = self.gain[on_t] @ by_pilot[t]
-        del innovation, by_pilot
+            np.matmul(H[..., on_t], self._pilot_coef[on_t, t], out=innovation)
+            innovation += noise[:, t]
+            innovation -= self._mean_received[..., t]
+            estimates[on_t] = self.gain[on_t] @ innovation.transpose(1, 2, 0)
+        del noise, innovation
         estimates += self.stats.los_mean[..., None]
         estimates = np.ascontiguousarray(estimates.transpose(3, 1, 2, 0))
         return EstimateSet(estimates=estimates, c_matrices=self.c_matrices)

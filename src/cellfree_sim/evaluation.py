@@ -52,11 +52,9 @@ class BoundEstimate:
     ci: np.ndarray            # (K,) 95% halfwidth from batch means
 
     @classmethod
-    def from_rows(cls, se: np.ndarray, count: np.ndarray) -> BoundEstimate:
-        """The bound of a table's (B + 1, K) per-row SEs and per-row draw counts: the total
-        row's SE, and the 95% halfwidth from the spread of the B batch rows (2 draws or more)."""
-        if count[-1] < 2:
-            raise ConfigError("SE evaluation needs at least 2 draws")
+    def from_rows(cls, se: np.ndarray) -> BoundEstimate:
+        """The bound of a table's (B + 1, K) per-row SEs: the total row's SE, and
+        the 95% halfwidth from the spread of the B >= 2 batch rows."""
         return cls(se=se[-1], ci=1.96 * np.std(se[:-1], axis=0, ddof=1) / np.sqrt(len(se) - 1))
 
 
@@ -73,7 +71,8 @@ class SeReport:
 class BatchSums(NamedTuple):
     """One scheme's per-draw terms by batch (Law, *Simulation Modeling and
     Analysis*): of R draws, row b < B = min(N_BATCHES, R) sums those with
-    floor(r B / R) = b and row B all R, each added draw by draw in draw order."""
+    floor(r B / R) = b and row B all R, each added draw by draw in draw order.
+    The batch spread needs R >= 2, so a table of fewer draws is refused."""
 
     count: np.ndarray       # (B + 1,) draws
     own: np.ndarray         # (B + 1, K) g_kk on the true channels
@@ -83,6 +82,8 @@ class BatchSums(NamedTuple):
 
     @classmethod
     def zeros(cls, R: int, K: int) -> BatchSums:
+        if R < 2:
+            raise ConfigError("SE evaluation needs at least 2 draws")
         rows = min(N_BATCHES, R) + 1
         return cls(np.zeros(rows), np.zeros((rows, K), dtype=complex), np.zeros((rows, K, K)),
                    np.zeros((rows, K)), np.zeros((rows, K)))
@@ -121,7 +122,7 @@ def uatf_se(sums: BatchSums, powers: np.ndarray, sigma2: float,
     fluctuation = interference - signal
     denom = np.maximum(fluctuation, 0.0) + sigma2 * (sums.vnorm2 / count)
     se = prelog * _log_sinr(signal, denom)
-    return (BoundEstimate.from_rows(se, sums.count),
+    return (BoundEstimate.from_rows(se),
             tuple(np.flatnonzero(fluctuation[-1] < 0.0).tolist()))
 
 
@@ -129,7 +130,7 @@ def cd_se(sums: BatchSums, prelog: float) -> BoundEstimate:
     """Coherent-decoding bound from the table's per-draw log terms: each row's
     mean log term, so expectations stay inside the log."""
     se = prelog * (sums.log_term / sums.count[:, None])
-    return BoundEstimate.from_rows(se, sums.count)
+    return BoundEstimate.from_rows(se)
 
 
 def _per_draw_terms(v: np.ndarray, channels: np.ndarray, est: EstimateSet,
@@ -160,13 +161,12 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     """Run the full pipeline for several schemes on shared draws.
 
     `stat_draws` feed the LSFD weights and the stage-two coupling matrices;
-    `eval_draws` feed the SE estimates and need 2 draws (the batch spread);
-    the config requires both budgets to be at least 2. Streams keyed by (role,
-    chunk index) make results reproducible for any worker layout and give
-    all schemes identical draws (paired comparison), from one `PilotEstimator`.
+    `eval_draws` feed the SE estimates and need 2 draws (the batch spread),
+    which the batch tables check before any pass runs; the config requires
+    both budgets to be at least 2. Streams keyed by (role, chunk index) make
+    results reproducible for any worker layout and give all schemes identical
+    draws (paired comparison), from one `PilotEstimator`.
     """
-    if eval_draws < 2:
-        raise ConfigError("SE evaluation needs at least 2 draws")
     schemes = [Scheme(s) for s in schemes]
     prelog = (cfg.coherence_symbols - cfg.pilot_count) / cfg.coherence_symbols
 
@@ -174,6 +174,7 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     need_lsfd = Scheme.LMMSE_LSFD in schemes
     need_pi = Scheme.LTMMSE in schemes
     need_local = need_lsfd or need_pi
+    tables = {s: BatchSums.zeros(eval_draws, K) for s in schemes}   # refuses eval_draws < 2
     estimator = PilotEstimator(stats, plan, cfg)
     weights = stage2_full = None
     regularized: dict[Scheme, tuple[int, ...]] = {s: () for s in schemes}
@@ -194,7 +195,6 @@ def evaluate_schemes(stats: ChannelStats, plan: ServicePlan, cfg: AreaConfig,
     # each block copies them into this zeroed array, whose other entries stay zero.
     ap, ue = plan.serving_pairs
     mmse_block = np.zeros((DRAW_BLOCK, L, N, K), dtype=complex)
-    tables = {s: BatchSums.zeros(eval_draws, K) for s in schemes}
     done = 0
     eval_seq = subsequence(stream, ROLE_EVALUATION)
     for draws, est in estimated_draws(estimator, eval_draws, eval_seq):

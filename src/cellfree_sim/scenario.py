@@ -197,10 +197,7 @@ def assign_pilots_and_clusters(dep: Deployment, cfg: AreaConfig) -> ServicePlan:
     for k in range(K):
         master = int(np.argmax(beta_lin[k]))
         masters[k] = master
-        contamination = np.zeros(tau_p)
-        for t in range(tau_p):
-            on_t = pilot_of_ue[:k] == t
-            contamination[t] = beta_lin[:k][on_t, master].sum()
+        contamination = np.bincount(pilot_of_ue[:k], beta_lin[:k, master], minlength=tau_p)
         pilot_of_ue[k] = int(np.argmin(contamination))
 
     # Per-AP, per-pilot contest: strongest UE on each pilot gets served.

@@ -275,12 +275,19 @@ def sample_channels_whole_chunk(stats: ChannelStats, rng: np.random.Generator,
 
 
 def estimate_per_ue_innovation(estimator: PilotEstimator, channels: np.ndarray,
-                               rng: np.random.Generator) -> np.ndarray:
+                               rng: np.random.Generator,
+                               received: np.ndarray | None = None) -> np.ndarray:
     """Estimates (draws, L, N, K) from a chunk-sized copy of each UE's pilot
-    innovation and one product over all UEs."""
+    innovation and one product over all UEs. `received` is the noiseless
+    decorrelated pilot signal (draws, L, N, tau_p) of `channels`; by default it
+    is formed with one small product per pilot, into a chunk-wide array."""
     R, L, N = channels.shape[:3]
     tau_p = estimator.cfg.pilot_count
-    received = estimator._pilot_sums(channels)
+    if received is None:
+        received = np.empty((R, L, N, tau_p), dtype=complex)
+        for t, on_t in enumerate(estimator._ues_on_pilot):
+            np.matmul(channels[..., on_t], estimator._pilot_coef[on_t, t],
+                      out=received[..., t])
     noise = np.sqrt(0.5 * estimator.cfg.noise_power_w * tau_p) * (
         rng.standard_normal((R, tau_p, L, N)) + 1j * rng.standard_normal((R, tau_p, L, N))
     )

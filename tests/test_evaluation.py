@@ -164,8 +164,9 @@ class TestUatfBound:
             assert -1e-12 * interference[k] <= fluctuation[k] < 0.0
 
     def test_needs_two_draws(self):
-        sums = batch_sums(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        # the one-draw table is refused where it is made
         with pytest.raises(ConfigError, match="at least 2 draws"):
+            sums = batch_sums(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
             uatf_se(sums, np.ones(1), 0.1, 1.0)
 
 
@@ -201,8 +202,9 @@ class TestCdBound:
         assert est.se[0] == pytest.approx(np.log2(1 + sinr).mean(), rel=1e-12)
 
     def test_needs_two_draws(self):
-        sums = batch_sums(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        # the one-draw table is refused where it is made
         with pytest.raises(ConfigError, match="at least 2 draws"):
+            sums = batch_sums(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
             cd_se(sums, 1.0)
 
 
